@@ -10,10 +10,9 @@ existence, reported here and never asserted.
 
 import argparse
 import math
-import sys
 
 from sqfree.buchstab import SquareMultipleQuery, count_square_multiples
-from sqfree.cli import render
+from sqfree.cli import add_output_flags, emit
 
 COLUMNS = ["scale", "x", "h", "d_lo", "d_hi", "count", "ratio"]
 
@@ -38,16 +37,10 @@ def main(argv=None) -> int:
     parser.add_argument("--x", type=int, default=10**8)
     parser.add_argument("--scales", default="1,2,4,8",
                         help="comma-separated window scales R")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", default=None)
+    add_output_flags(parser)
     args = parser.parse_args(argv)
     scales = [int(s) for s in args.scales.split(",")]
-    text = render(build_rows(args.x, scales), COLUMNS, args.format)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    emit(build_rows(args.x, scales), COLUMNS, args.format, args.out)
     return 0
 
 

@@ -74,12 +74,6 @@ def base_main_term(offsets, cutoff: float) -> MainTermEstimate:
     return MainTermEstimate(product, cap, crude)
 
 
-def _progression_count(window: Window, shift: int, modulus_sq: int) -> int:
-    """#{n in (x, x+h] : modulus_sq | n + shift}."""
-    lo = window.x + shift
-    return (lo + window.h) // modulus_sq - lo // modulus_sq
-
-
 def count_square_hits(window, offsets, coord: int, q_lo: float, q_hi: float) -> int:
     """Sum over primes q in [q_lo, q_hi) of #{n in window : q^2 | n + offset}.
 

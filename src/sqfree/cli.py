@@ -16,13 +16,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .arith import OffsetTuple, as_offsets
 from .buchstab import SquareMultipleQuery, buchstab_decompose, count_square_multiples
-from .density import DEFAULT_PRIME_CUTOFF, certify_inverse_bound, density_constant, inverse_density_cap
+from .density import DEFAULT_PRIME_CUTOFF, density_constant, inverse_density_cap
 from .errors import ContractViolation, DegenerateTupleError, MemoryBudgetError
 from .selberg import excess_exponent, optimal_weights, quadratic_form_bound, sieve_level
 from .sieve import Window, count_tuples
@@ -43,27 +41,6 @@ COLUMNS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    x: Optional[int] = None
-    h: Optional[int] = None
-    offsets: Optional[OffsetTuple] = None
-    x_grid: tuple = ()
-    h_grid: tuple = ()
-    offsets_grid: tuple = ()
-    z: Optional[str] = None
-    lambda0: Optional[float] = None
-    psi: str = "loglog"
-    d_lo: Optional[float] = None
-    d_hi: Optional[float] = None
-    prime_cutoff: int = DEFAULT_PRIME_CUTOFF
-    rng_seed: int = 0
-    threads: int = 1
-    fmt: str = "csv"
-    out: Optional[str] = None
-
-
 def _int_arg(text: str) -> int:
     return int(text)  # int() accepts underscore digit separators
 
@@ -80,6 +57,12 @@ def _int_list_arg(text: str) -> tuple:
     return tuple(int(part) for part in text.split(","))
 
 
+def add_output_flags(p) -> None:
+    """``--format`` and ``--out``, shared by every command and the scripts."""
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqfree",
@@ -87,83 +70,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=_int_arg, default=0)
+    def window(p):
+        p.add_argument("--x", type=_int_arg, required=True)
+        p.add_argument("--h", type=_int_arg, required=True)
+
+    def threads(p):
         p.add_argument("--threads", type=_int_arg, default=1)
+
+    def prime_cutoff(p):
         p.add_argument("--prime-cutoff", type=_int_arg, default=DEFAULT_PRIME_CUTOFF)
 
     p = sub.add_parser("count", help="exact tuple count over one window")
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--h", type=_int_arg, required=True)
+    window(p)
     p.add_argument("--offsets", type=_offsets_arg, required=True)
     p.add_argument("--z", default=None, help="sieve level (default: full squarefree test)")
-    common(p)
+    threads(p)
+    add_output_flags(p)
 
     p = sub.add_parser("density", help="certified bracket for the tuple density")
     p.add_argument("--offsets", type=_offsets_arg, required=True)
-    common(p)
+    prime_cutoff(p)
+    add_output_flags(p)
 
     p = sub.add_parser("selberg", help="weight-system upper-bound certificate")
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--h", type=_int_arg, required=True)
+    window(p)
     p.add_argument("--offsets", type=_offsets_arg, required=True)
     p.add_argument("--z", required=True, help="sieve level, or 'auto' for the canonical choice")
-    common(p)
+    threads(p)
+    prime_cutoff(p)
+    add_output_flags(p)
 
     p = sub.add_parser("buchstab", help="exact removal-ledger decomposition")
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--h", type=_int_arg, required=True)
+    window(p)
     p.add_argument("--offsets", type=_offsets_arg, required=True)
     p.add_argument("--lambda0", type=_float_arg, required=True)
-    p.add_argument("--psi", default="loglog", help="growth kind: loglog | pow23 | const:C")
-    common(p)
+    add_output_flags(p)
 
     p = sub.add_parser("squaremul", help="square-multiple obstruction count")
-    p.add_argument("--x", type=_int_arg, required=True)
-    p.add_argument("--h", type=_int_arg, required=True)
+    window(p)
     p.add_argument("--d-lo", type=_float_arg, required=True)
     p.add_argument("--d-hi", type=_float_arg, required=True)
-    common(p)
+    add_output_flags(p)
 
     p = sub.add_parser("sweep", help="exact counts and density ratios over a grid")
     p.add_argument("--x", type=_int_list_arg, required=True, help="comma-separated x values")
     p.add_argument("--h", type=_int_list_arg, required=True, help="comma-separated h values")
     p.add_argument("--offsets", type=_offsets_arg, action="append", required=True,
                    help="repeatable; one offset pattern per use")
-    common(p)
+    threads(p)
+    prime_cutoff(p)
+    add_output_flags(p)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=args.command)
-    cfg.fmt = args.format
-    cfg.out = args.out
-    cfg.rng_seed = args.seed
-    cfg.threads = args.threads
-    cfg.prime_cutoff = getattr(args, "prime_cutoff", DEFAULT_PRIME_CUTOFF)
-    if args.command == "sweep":
-        cfg.x_grid = args.x
-        cfg.h_grid = args.h
-        cfg.offsets_grid = tuple(args.offsets)
-    else:
-        cfg.x = getattr(args, "x", None)
-        cfg.h = getattr(args, "h", None)
-        cfg.offsets = getattr(args, "offsets", None)
-        if hasattr(args, "d_lo"):
-            cfg.d_lo = args.d_lo
-            cfg.d_hi = args.d_hi
-    cfg.z = getattr(args, "z", None)
-    cfg.lambda0 = getattr(args, "lambda0", None)
-    cfg.psi = getattr(args, "psi", "loglog")
-    return cfg
-
-
-def _warn_regime(cfg: ExperimentConfig) -> None:
-    if cfg.offsets is None or cfg.x is None or cfg.h is None:
-        return
-    if cfg.offsets.offsets[-1] > cfg.x or cfg.h > cfg.x:
+def _warn_regime(args: argparse.Namespace) -> None:
+    if args.offsets.offsets[-1] > args.x or args.h > args.x:
         print(
             "note: largest offset or window length exceeds the window start; "
             "results are exact but outside the certified asymptotic regime",
@@ -171,15 +132,15 @@ def _warn_regime(cfg: ExperimentConfig) -> None:
         )
 
 
-def _resolve_level(cfg: ExperimentConfig) -> float:
-    if cfg.z is None or cfg.z == "auto":
-        level = sieve_level(cfg.h, cfg.offsets.r)
+def _resolve_level(args: argparse.Namespace) -> float:
+    if args.z == "auto":
+        level = sieve_level(args.h, args.offsets.r)
         if not level > 2.0:
             raise ValueError(
                 f"automatic sieve level {level:.6g} is not above 2; pass --z explicitly"
             )
         return level
-    return float(cfg.z)
+    return float(args.z)
 
 
 def _excess_stat(q: int, mid: float, h: int):
@@ -194,27 +155,27 @@ def _excess_stat(q: int, mid: float, h: int):
     return ratio, (rho, stat)
 
 
-def run_command(cfg: ExperimentConfig) -> list[dict]:
-    if cfg.command == "count":
-        w = Window(cfg.x, cfg.h)
+def run_command(args: argparse.Namespace) -> list[dict]:
+    if args.command == "count":
+        w = Window(args.x, args.h)
         # "auto" keeps the default full-squarefree level
-        z = float(cfg.z) if cfg.z not in (None, "auto") else None
-        q = count_tuples(w, cfg.offsets, z=z, threads=cfg.threads)
-        z_used = z if z is not None else 2.0 * math.sqrt(w.end + cfg.offsets.offsets[-1])
-        return [{"x": w.x, "h": w.h, "offsets": str(cfg.offsets), "z": z_used, "q": q}]
+        z = float(args.z) if args.z not in (None, "auto") else None
+        q = count_tuples(w, args.offsets, z=z, threads=args.threads)
+        z_used = z if z is not None else 2.0 * math.sqrt(w.end + args.offsets.offsets[-1])
+        return [{"x": w.x, "h": w.h, "offsets": str(args.offsets), "z": z_used, "q": q}]
 
-    if cfg.command == "density":
-        est = density_constant(cfg.offsets, cfg.prime_cutoff)
+    if args.command == "density":
+        est = density_constant(args.offsets, args.prime_cutoff)
         row = {
-            "offsets": str(cfg.offsets),
-            "r": cfg.offsets.r,
+            "offsets": str(args.offsets),
+            "r": args.offsets.r,
             "prime_cutoff": est.prime_cutoff,
             "lower": est.lower,
             "upper": est.upper,
             "tail_log_bound": est.tail_log_bound,
             "degenerate_zero": est.degenerate_zero,
             "inverse_upper": None,
-            "inverse_cap": inverse_density_cap(cfg.offsets.r),
+            "inverse_cap": inverse_density_cap(args.offsets.r),
             "inverse_holds": None,
         }
         if not est.degenerate_zero:
@@ -222,19 +183,19 @@ def run_command(cfg: ExperimentConfig) -> list[dict]:
             row["inverse_holds"] = row["inverse_upper"] <= row["inverse_cap"]
         return [row]
 
-    if cfg.command == "selberg":
-        _warn_regime(cfg)
-        w = Window(cfg.x, cfg.h)
-        level = _resolve_level(cfg)
-        system = optimal_weights(level, cfg.offsets, prime_cutoff=cfg.prime_cutoff)
-        cert = quadratic_form_bound(w, cfg.offsets, system, threads=cfg.threads)
+    if args.command == "selberg":
+        _warn_regime(args)
+        w = Window(args.x, args.h)
+        level = _resolve_level(args)
+        system = optimal_weights(level, args.offsets, prime_cutoff=args.prime_cutoff)
+        cert = quadratic_form_bound(w, args.offsets, system, threads=args.threads)
         if not cert.certified:
             raise ContractViolation(
                 f"upper-bound certificate breached: exact {cert.exact_count} "
                 f"> form value {float(cert.form_value):.6f}"
             )
         return [{
-            "x": w.x, "h": w.h, "offsets": str(cfg.offsets), "z": level,
+            "x": w.x, "h": w.h, "offsets": str(args.offsets), "z": level,
             "form_minimum": float(system.form_minimum),
             "normalizer": float(system.normalizer),
             "weight_mass": system.weight_mass,
@@ -246,16 +207,16 @@ def run_command(cfg: ExperimentConfig) -> list[dict]:
             "certified": cert.certified,
         }]
 
-    if cfg.command == "buchstab":
-        _warn_regime(cfg)
-        w = Window(cfg.x, cfg.h)
-        report = buchstab_decompose(w, cfg.offsets, cfg.lambda0)
+    if args.command == "buchstab":
+        _warn_regime(args)
+        w = Window(args.x, args.h)
+        report = buchstab_decompose(w, args.offsets, args.lambda0)
         if report.reconciliation != 0:
             raise ContractViolation(
                 f"decomposition does not reconcile: residue {report.reconciliation}"
             )
         return [{
-            "x": w.x, "h": w.h, "offsets": str(cfg.offsets), "lambda0": report.cutoff,
+            "x": w.x, "h": w.h, "offsets": str(args.offsets), "lambda0": report.cutoff,
             "base_count": report.base_count,
             "base_main": report.base_main,
             "base_error": report.base_error,
@@ -267,19 +228,19 @@ def run_command(cfg: ExperimentConfig) -> list[dict]:
             "ledger_rows": len(report.ledger),
         }]
 
-    if cfg.command == "squaremul":
-        query = SquareMultipleQuery(cfg.x, cfg.h, cfg.d_lo, cfg.d_hi)
+    if args.command == "squaremul":
+        query = SquareMultipleQuery(args.x, args.h, args.d_lo, args.d_hi)
         count = count_square_multiples(query)
-        return [{"x": cfg.x, "h": cfg.h, "d_lo": cfg.d_lo, "d_hi": cfg.d_hi, "count": count}]
+        return [{"x": args.x, "h": args.h, "d_lo": args.d_lo, "d_hi": args.d_hi, "count": count}]
 
-    if cfg.command == "sweep":
+    if args.command == "sweep":
         rows = []
-        for offs in cfg.offsets_grid:
-            est = density_constant(offs, cfg.prime_cutoff)
-            for x in cfg.x_grid:
-                for h in cfg.h_grid:
+        for offs in args.offsets:
+            est = density_constant(offs, args.prime_cutoff)
+            for x in args.x:
+                for h in args.h:
                     w = Window(x, h)
-                    q = count_tuples(w, offs, threads=cfg.threads)
+                    q = count_tuples(w, offs, threads=args.threads)
                     ratio, rho_stat = _excess_stat(q, est.midpoint, h)
                     rho, stat = rho_stat if rho_stat else (None, None)
                     rows.append({
@@ -288,11 +249,9 @@ def run_command(cfg: ExperimentConfig) -> list[dict]:
                         "density_mid": est.midpoint, "ratio": ratio,
                         "excess_exponent": rho, "excess_stat": stat,
                     })
-        if not rows:
-            raise ValueError("sweep grid is empty")
         return rows
 
-    raise ValueError(f"unknown command {cfg.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def format_cell(value) -> str:
@@ -329,10 +288,11 @@ def render(rows: list[dict], columns: list[str], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(rows: list[dict], columns: list[str], cfg: ExperimentConfig) -> None:
-    text = render(rows, columns, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
+def emit(rows: list[dict], columns: list[str], fmt: str, out=None) -> None:
+    """Render the rows and write them to ``out``, or to stdout when it is None."""
+    text = render(rows, columns, fmt)
+    if out:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -345,9 +305,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = config_from_args(args)
-        rows = run_command(cfg)
-        emit(rows, COLUMNS[cfg.command], cfg)
+        rows = run_command(args)
+        emit(rows, COLUMNS[args.command], args.format, args.out)
         return 0
     except ContractViolation as exc:
         print(f"contract failure: {exc}", file=sys.stderr)

@@ -35,24 +35,37 @@ def _floor_ratio(level: float, d: int) -> int:
     return int(Fraction(level) / d)
 
 
+def _squarefree_splits(n: int):
+    """Yield (k, q, k // q) for every squarefree k in [2, n] in increasing
+    order, q the smallest prime factor of k, so that a multiplicative table
+    over squarefree k fills as table[k] = table[k // q] * local(q)."""
+    spf = list(range(n + 1))
+    p = 2
+    while p * p <= n:
+        if spf[p] == p:
+            for m in range(p * p, n + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+        p += 1
+    squarefree = [True] * (n + 1)
+    for k in range(2, n + 1):
+        q = spf[k]
+        m = k // q
+        if m % q == 0 or not squarefree[m]:
+            squarefree[k] = False
+        else:
+            yield k, q, m
+
+
 class _LocalData:
-    """Per-(offsets, level) tables: residue counts, smallest prime factors,
-    and the multiplicative local factors u(p) / (p^2 - u(p))."""
+    """Per-(offsets, level) tables: residue counts and the multiplicative
+    local factors u(p) / (p^2 - u(p))."""
 
     def __init__(self, offsets, zi: int, exact: bool):
         self.offsets = as_offsets(offsets)
         self.zi = zi
         self.exact = exact
         one = Fraction(1) if exact else 1.0
-        spf = list(range(zi + 1))
-        p = 2
-        while p * p <= zi:
-            if spf[p] == p:
-                for m in range(p * p, zi + 1, p):
-                    if spf[m] == m:
-                        spf[m] = p
-            p += 1
-        self.spf = spf
         self.u_prime: dict[int, int] = {}
         local = [None] * (zi + 1)
         inv_local = [None] * (zi + 1)
@@ -79,11 +92,7 @@ class _LocalData:
             inv_prod[1] = one
             u_val[1] = 1
             mob[1] = 1
-        for k in range(2, zi + 1):
-            q = spf[k]
-            m = k // q
-            if m % q == 0 or g[m] is None:
-                continue
+        for k, q, m in _squarefree_splits(zi):
             g[k] = g[m] * local[q]
             inv_prod[k] = inv_prod[m] * inv_local[q]
             u_val[k] = u_val[m] * self.u_prime[q]
@@ -300,25 +309,11 @@ def squarefree_moment(r: int, level: float) -> int:
     zi = math.floor(level)
     if zi < 1:
         raise ValueError("level must be at least 1")
-    spf = list(range(zi + 1))
-    p = 2
-    while p * p <= zi:
-        if spf[p] == p:
-            for m in range(p * p, zi + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-        p += 1
     vals = [0] * (zi + 1)
     vals[1] = 1
-    total = 1
-    for k in range(2, zi + 1):
-        q = spf[k]
-        m = k // q
-        if m % q == 0 or vals[m] == 0:
-            continue
+    for k, _, m in _squarefree_splits(zi):
         vals[k] = vals[m] * r
-        total += vals[k]
-    return total
+    return sum(vals)
 
 
 def moment_cap(r: int, level: float) -> float:

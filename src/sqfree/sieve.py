@@ -22,7 +22,6 @@ from .arith import (
     residue_class_count_squarefree,
     squarefree_prime_factors,
 )
-from .errors import MemoryBudgetError
 
 # Elements per segment.  Large segments keep the per-segment Python loop over
 # small primes cheap; memory stays bounded by the segment, not the window.
@@ -178,18 +177,11 @@ def _count_congruent_scan(window: Window, class_lists, segment_size: int) -> int
     return total
 
 
-# Largest solution-class enumeration allowed before giving up.
+# Most solution classes enumerated; inputs with more are scanned instead.
 CLASS_ENUMERATION_CAP = 1 << 24
 
 
 def _count_congruent_classes(window: Window, class_lists) -> int:
-    total_classes = 1
-    for _, classes in class_lists:
-        total_classes *= len(classes)
-    if total_classes > CLASS_ENUMERATION_CAP:
-        raise MemoryBudgetError(
-            f"{total_classes} solution classes exceed the enumeration cap"
-        )
     residues = [0]
     modulus = 1
     for p2, classes in class_lists:
@@ -201,12 +193,14 @@ def _count_congruent_classes(window: Window, class_lists) -> int:
     return sum((hi - a) // modulus - (x - a) // modulus for a in residues)
 
 
-def count_congruent(d: int, window, offsets, *, segment_size: int = SEGMENT_SIZE) -> int:
+def count_congruent(d: int, window, offsets) -> int:
     """Exact #{n in (x, x+h] : every prime p | d has p^2 | n + some offset}.
 
     For squarefree d this is the count of n whose squarefull product over the
     pattern is divisible by d.  Small moduli are scanned segment by segment;
-    large moduli enumerate the solution classes modulo d^2 directly.
+    large moduli enumerate the solution classes modulo d^2 directly, unless
+    there are more than CLASS_ENUMERATION_CAP of them, in which case the
+    bounded-memory scan answers instead.
     """
     d = int(d)
     w = as_window(window)
@@ -216,8 +210,9 @@ def count_congruent(d: int, window, offsets, *, segment_size: int = SEGMENT_SIZE
     if d == 1:
         return w.h
     class_lists = [_congruence_classes(l, p) for p in factors]
-    if d * d <= 4 * w.h:
-        return _count_congruent_scan(w, class_lists, segment_size)
+    class_count = math.prod(len(classes) for _, classes in class_lists)
+    if d * d <= 4 * w.h or class_count > CLASS_ENUMERATION_CAP:
+        return _count_congruent_scan(w, class_lists, SEGMENT_SIZE)
     return _count_congruent_classes(w, class_lists)
 
 

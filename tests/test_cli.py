@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from sqfree.cli import main
+from sqfree.cli import build_parser, main, run_command
 from sqfree.sieve import count_tuples
 from sqfree.buchstab import SquareMultipleQuery, count_square_multiples
 
@@ -134,6 +135,75 @@ def test_sweep_multiple_patterns(capsys):
     assert {row["r"] for row in rows} == {"1", "2"}
 
 
+# ------------------------------------------------------- flag surface
+
+# The options each command reads; --format and --out are read by the emit step.
+READ_FLAGS = {
+    "count": {"--x", "--h", "--offsets", "--z", "--threads"},
+    "density": {"--offsets", "--prime-cutoff"},
+    "selberg": {"--x", "--h", "--offsets", "--z", "--threads", "--prime-cutoff"},
+    "buchstab": {"--x", "--h", "--offsets", "--lambda0"},
+    "squaremul": {"--x", "--h", "--d-lo", "--d-hi"},
+    "sweep": {"--x", "--h", "--offsets", "--threads", "--prime-cutoff"},
+}
+
+SMALL_RUNS = {
+    "count": ["count", "--x", "0", "--h", "10", "--offsets", "0"],
+    "density": ["density", "--offsets", "0", "--prime-cutoff", "1000"],
+    "selberg": ["selberg", "--x", "1000", "--h", "200", "--offsets", "0", "--z", "5",
+                "--prime-cutoff", "1000"],
+    "buchstab": ["buchstab", "--x", "1000", "--h", "100", "--offsets", "0", "--lambda0", "3"],
+    "squaremul": ["squaremul", "--x", "100", "--h", "20", "--d-lo", "5", "--d-hi", "10"],
+    "sweep": ["sweep", "--x", "1000", "--h", "50", "--offsets", "0", "--prime-cutoff", "1000"],
+}
+
+REMOVED_FLAGS = [
+    *[(command, ["--seed", "1"]) for command in READ_FLAGS],
+    ("buchstab", ["--psi", "loglog"]),
+    ("density", ["--threads", "1"]),
+    ("buchstab", ["--threads", "1"]),
+    ("squaremul", ["--threads", "2"]),
+    ("count", ["--prime-cutoff", "1000"]),
+    ("buchstab", ["--prime-cutoff", "1000"]),
+    ("squaremul", ["--prime-cutoff", "1000"]),
+]
+
+
+class RecordingArgs:
+    """Wraps parsed arguments and records which of them are read."""
+
+    def __init__(self, namespace):
+        self._values = vars(namespace)
+        self.reads = set()
+
+    def __getattr__(self, name):
+        if name not in self._values:
+            raise AttributeError(name)
+        self.reads.add(name)
+        return self._values[name]
+
+
+def test_every_flag_is_read_and_removed_flags_exit_2(capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(commands) == set(READ_FLAGS)
+    total = 0
+    for name, sub in commands.items():
+        options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == READ_FLAGS[name] | {"--format", "--out"}, name
+        total += len(options)
+        args = RecordingArgs(parser.parse_args(SMALL_RUNS[name]))
+        run_command(args)
+        dests = {a.dest for a in sub._actions} - {"help", "format", "out"}
+        assert dests <= args.reads, (name, dests - args.reads)
+    assert total == 38
+    capsys.readouterr()
+    for command, extra in REMOVED_FLAGS:
+        assert main(SMALL_RUNS[command]) == 0
+        assert main(SMALL_RUNS[command] + extra) == 2, (command, extra)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- formats
 
 def test_json_mirrors_csv_columns(capsys):
@@ -174,6 +244,17 @@ def test_thread_count_does_not_change_output(tmp_path):
         assert main(["count", "--x", "1_000_000", "--h", "200_000", "--offsets", "0,2",
                      "--threads", threads, "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_script_out_matches_stdout(tmp_path):
+    script = str(Path(__file__).resolve().parent.parent / "scripts" / "square_multiple_table.py")
+    argv = [sys.executable, script, "--x", "10000000", "--scales", "1,2"]
+    printed = subprocess.run(argv, capture_output=True, check=True).stdout
+    out = tmp_path / "table.csv"
+    proc = subprocess.run(argv + ["--out", str(out)], capture_output=True, check=True)
+    assert proc.stdout == b""
+    assert out.read_bytes() == printed
+    assert printed.startswith(b"scale,x,h,d_lo,d_hi,count,ratio\n")
 
 
 # --------------------------------------------------------- exit codes

@@ -267,6 +267,22 @@ def test_squarefree_moment_values():
     assert squarefree_moment(1, 1.5) == 1
     # squarefree d <= 10: 1,2,3,5,6,7,10 with 0,1,1,1,2,1,2 prime factors
     assert squarefree_moment(2, 10) == 1 + 2 + 2 + 2 + 4 + 2 + 4
+    # every level up to 300 against trial division: sum of r^omega(d) over
+    # squarefree d <= level
+    omega = {}
+    for d in range(1, 301):
+        m, count, squarefree = d, 0, True
+        for p in range(2, d + 1):
+            if m % p == 0:
+                count += 1
+                m //= p
+                squarefree = squarefree and m % p != 0
+        if squarefree:
+            omega[d] = count
+    for r in range(1, 5):
+        for level in range(1, 301):
+            expected = sum(r ** w for d, w in omega.items() if d <= level)
+            assert squarefree_moment(r, level) == expected, (r, level)
 
 
 def test_moment_cap_example():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqfree.sieve import (
+    CLASS_ENUMERATION_CAP,
     Window,
     count_congruent,
     count_squarefree,
@@ -251,6 +252,20 @@ def test_count_congruent_large_modulus_uses_classes():
         and any((n + o) % 103**2 == 0 for o in offs)
     )
     assert count_congruent(d, w, offs) == direct
+
+
+def test_count_congruent_above_class_cap_scans():
+    # 4 * 9 * 25 * 30^3 = 24.3M solution classes modulo 30030^2, above the
+    # enumeration cap, with d^2 > 4h: answered by the bounded-memory scan
+    d, x, h, offs = 30030, 10**6, 2000, list(range(30))
+    ps = prime_factors(d)
+    assert math.prod(min(len(offs), p * p) for p in ps) > CLASS_ENUMERATION_CAP
+    direct = sum(
+        1 for n in range(x + 1, x + h + 1)
+        if all(any((n + o) % (p * p) == 0 for o in offs) for p in ps)
+    )
+    assert direct == 65
+    assert count_congruent(d, (x, h), offs) == direct
 
 
 # ------------------------------------------- congruent count main term
