@@ -9,6 +9,7 @@ n + offset_i is squarefree".
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,9 +24,14 @@ from .arith import (
     squarefree_prime_factors,
 )
 
-# Elements per segment.  Large segments keep the per-segment Python loop over
-# small primes cheap; memory stays bounded by the segment, not the window.
-SEGMENT_SIZE = 1 << 26
+# Elements per segment, and the length of each worker's reused buffer.  Of
+# the sizes 2^18 .. 2^26 measured, 2^24 gave the fastest wide windows.
+SEGMENT_SIZE = 1 << 24
+# Pre-sieve period: every p^2 with p in {2, 3, 5, 7} divides it.
+PRESIEVE_PERIOD = 4 * 9 * 25 * 49
+_PRESIEVE_PRIMES = (2, 3, 5, 7)
+# Most worker threads count_tuples accepts.
+MAX_THREADS = 64
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -94,35 +100,62 @@ def _normalize_levels(z, window: Window, offsets) -> list[float]:
     return levels
 
 
-def _segments(x: int, h: int, size: int) -> list[tuple[int, int]]:
-    out = []
-    done = 0
-    while done < h:
-        length = min(size, h - done)
-        out.append((x + done, length))
-        done += length
-    return out
+def _segments(x: int, h: int, size: int):
+    """Yield (base, length) pieces of (x, x+h], lazily."""
+    for done in range(0, h, size):
+        yield x + done, min(size, h - done)
 
 
-def _count_segment(base: int, length: int, pairs) -> int:
-    alive = np.ones(length, dtype=bool)
-    small_cap = math.isqrt(length)
+@dataclass(frozen=True)
+class _Plan:
+    """Per-call tables the segment kernel reads; shared by every worker."""
+
+    tile: np.ndarray  # two periods of flags: False where some p <= 7 has p^2 | n + offset
+    strided: tuple    # (offset, [p^2, ...]) for the other primes with p^2 <= segment size
+    scattered: tuple  # (offset, int64 array of p^2) for the primes with p^2 > segment size
+
+
+def _plan(pairs, size: int) -> _Plan:
+    # Each coordinate's primes are all primes up to its bound, ascending: a
+    # prefix of one table, so the first four are 2, 3, 5, 7 and one array of
+    # large p^2 serves every coordinate.
+    pre = len(_PRESIEVE_PRIMES)
+    longest = max((ps for _, ps in pairs), key=len)
+    k = max(pre, int(np.searchsorted(longest, math.isqrt(size), side="right")))
+    squares = longest[k:] * longest[k:]
+    tile = np.ones(PRESIEVE_PERIOD, dtype=bool)
+    strided, scattered = [], []
     for off, ps in pairs:
-        if ps.size == 0:
-            continue
+        for p in ps[:pre].tolist():
+            tile[(-off) % (p * p)::p * p] = False
+        if ps.size > pre:
+            strided.append((off, [p * p for p in ps[pre:k].tolist()]))
+        if ps.size > k:
+            scattered.append((off, squares[:ps.size - k]))
+    # Two periods hold one full period from any phase.
+    return _Plan(np.tile(tile, 2), tuple(strided), tuple(scattered))
+
+
+def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> int:
+    """Survivors among n in (base, base+length], marked in ``alive``."""
+    alive = alive[:length]
+    # One period copied at the segment's phase, then doubled in place: any
+    # shift by a multiple of the period leaves the pattern unchanged.
+    phase = (base + 1) % PRESIEVE_PERIOD
+    done = min(PRESIEVE_PERIOD, length)
+    alive[:done] = plan.tile[phase:phase + done]
+    while done < length:
+        step = min(done, length - done)
+        alive[done:done + step] = alive[:step]
+        done += step
+    for off, squares in plan.strided:
         m1 = base + off + 1  # first shifted element of the segment
-        k = int(np.searchsorted(ps, small_cap, side="right"))
-        for p in ps[:k].tolist():
-            p2 = p * p
-            start = (-m1) % p2
-            alive[start::p2] = False
-        big = ps[k:]
-        if big.size:
-            p2 = big * big
-            start = (p2 - m1 % p2) % p2
-            hits = start[start < length]
-            if hits.size:
-                alive[hits] = False
+        for p2 in squares:
+            alive[(-m1) % p2::p2] = False
+    for off, squares in plan.scattered:
+        # p^2 exceeds the segment, so each prime hits it at most once.
+        start = np.remainder(-(base + off + 1), squares)
+        alive[start[start < length]] = False
     return int(np.count_nonzero(alive))
 
 
@@ -134,7 +167,16 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
     ``z`` may be a single level applied to every coordinate or a sequence of
     per-coordinate levels; the default level 2*sqrt(window end + largest
     offset) turns the test into full squarefreeness of every shifted value.
+
+    The window is cut into segments of ``segment_size``.  Each worker fills
+    one reused buffer per segment from a pre-sieve tile for 4, 9, 25 and 49,
+    strides the other small prime squares and scatters the large ones.
+    ``threads`` must lie in [1, MAX_THREADS]; at most one worker per segment
+    runs.
     """
+    threads = int(threads)
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must lie in [1, {MAX_THREADS}]")
     w = as_window(window)
     l = as_offsets(offsets)
     _require_range(w, l)
@@ -151,11 +193,26 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
     for off, bound in zip(l.offsets, bounds):
         ps = table.upto(bound) if table is not None else _EMPTY
         pairs.append((off, ps))
-    segments = _segments(w.x, w.h, segment_size)
-    if threads > 1 and len(segments) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(lambda seg: _count_segment(seg[0], seg[1], pairs), segments))
-    return sum(_count_segment(base, length, pairs) for base, length in segments)
+    size = min(int(segment_size), w.h)
+    plan = _plan(pairs, size)
+    segments = _segments(w.x, w.h, size)
+    lock = threading.Lock()
+
+    def worker() -> int:
+        alive = np.empty(size, dtype=bool)
+        total = 0
+        while True:
+            with lock:
+                segment = next(segments, None)
+            if segment is None:
+                return total
+            total += _count_segment(alive, *segment, plan)
+
+    workers = min(threads, -(-w.h // size))
+    if workers == 1:
+        return worker()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(f.result() for f in [pool.submit(worker) for _ in range(workers)])
 
 
 def _congruence_classes(offsets, p: int) -> tuple[int, list[int]]:

@@ -275,6 +275,25 @@ def test_invalid_window_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["count", "--x", "1000", "--h", "40000000", "--offsets", "0"],
+    ["selberg", "--x", "1000", "--h", "40000000", "--offsets", "0", "--z", "5"],
+    ["sweep", "--x", "1000", "--h", "40000000", "--offsets", "0"],
+])
+@pytest.mark.parametrize("threads", ["0", "-3", "65", str(10**9)])
+def test_thread_count_out_of_range_exits_2_before_any_pool(capsys, monkeypatch, command, threads):
+    import sqfree.sieve as sieve_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(sieve_module, "ThreadPoolExecutor", no_pool)
+    code, out, err = run_cli(capsys, *command, "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert "threads must lie in [1, 64]" in err
+
+
 def test_degenerate_selberg_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "selberg", "--x", "100", "--h", "50", "--offsets", "0,1,2,3", "--z", "10"

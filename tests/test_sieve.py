@@ -1,5 +1,11 @@
+import functools
+import inspect
+import itertools
 import math
 import random
+import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +13,8 @@ from hypothesis import strategies as st
 
 from sqfree.sieve import (
     CLASS_ENUMERATION_CAP,
+    MAX_THREADS,
+    PRESIEVE_PERIOD,
     Window,
     count_congruent,
     count_squarefree,
@@ -15,6 +23,7 @@ from sqfree.sieve import (
     _count_congruent_classes,
     _count_congruent_scan,
     _congruence_classes,
+    _segments,
 )
 from sqfree.arith import as_offsets, residue_class_count_squarefree
 
@@ -90,6 +99,21 @@ def test_count_tuples_matches_bruteforce_random():
         assert count_tuples((x, h), offs) == naive_count_tuples(x, h, offs)
 
 
+def _levelled_count(x, h, offsets, levels, primes):
+    """Trial division: n in (x, x+h] with no prime p < z_i, p^2 | n + offset_i."""
+    def ok(n):
+        for off, z in zip(offsets, levels):
+            m = n + off
+            for p in primes:
+                if p >= z or p * p > m:
+                    break
+                if m % (p * p) == 0:
+                    return False
+        return True
+
+    return sum(1 for n in range(x + 1, x + h + 1) if ok(n))
+
+
 def test_count_tuples_general_levels_match_bruteforce(oracle_primes_2000):
     rng = random.Random(99)
     for _ in range(25):
@@ -98,18 +122,7 @@ def test_count_tuples_general_levels_match_bruteforce(oracle_primes_2000):
         r = rng.randrange(1, 4)
         offs = sorted(rng.sample(range(0, 500), r))
         levels = [rng.uniform(2.0, 80.0) for _ in range(r)]
-
-        def ok(n):
-            for off, z in zip(offs, levels):
-                m = n + off
-                for p in oracle_primes_2000:
-                    if p >= z or p * p > m:
-                        break
-                    if m % (p * p) == 0:
-                        return False
-            return True
-
-        expected = sum(1 for n in range(x + 1, x + h + 1) if ok(n))
+        expected = _levelled_count(x, h, offs, levels, oracle_primes_2000)
         assert count_tuples((x, h), offs, z=levels) == expected
 
 
@@ -149,6 +162,101 @@ def test_count_tuples_thread_independence():
     base = count_tuples(w, offs, segment_size=1 << 16)
     for threads in (2, 4):
         assert count_tuples(w, offs, threads=threads, segment_size=1 << 16) == base
+
+
+def test_workers_share_segments_without_loss_under_contention():
+    # Eight workers on two cores pull 3125 segments from one generator with
+    # a very short switch interval: a lost or repeated segment changes the sum.
+    w, offs = (10**6, 200_000), [0, 1, 5]
+    base = count_tuples(w, offs, segment_size=64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        assert count_tuples(w, offs, threads=8, segment_size=64) == base
+        assert time.perf_counter() - start < 60
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_count_tuples_rejects_thread_counts_out_of_range():
+    for threads in (0, -3, MAX_THREADS + 1, 10**9):
+        with pytest.raises(ValueError, match="threads"):
+            count_tuples((0, 10), [0], threads=threads)
+    assert count_tuples((0, 10), [0], threads=MAX_THREADS) == 7
+
+
+def test_segments_are_lazy():
+    segments = _segments(0, 2**61, 1 << 24)
+    assert inspect.isgenerator(segments)  # an eager list here would exhaust memory
+    head = list(itertools.islice(segments, 3))
+    assert head == [(0, 1 << 24), (1 << 24, 1 << 24), (2 << 24, 1 << 24)]
+    assert list(_segments(10, 5, 2)) == [(10, 2), (12, 2), (14, 1)]
+
+
+# --------------------------------------------------- segment kernel
+
+@functools.lru_cache(maxsize=None)
+def _oracle(x, h, offsets, levels=None):
+    if levels is None:
+        return naive_count_tuples(x, h, offsets)
+    return _levelled_count(x, h, offsets, levels, naive_primes(1100))
+
+
+# Windows on both sides of multiples of the pre-sieve period, offsets past
+# it, and per-coordinate levels that keep some of 2, 3, 5, 7 and drop others.
+_P = PRESIEVE_PERIOD
+_KERNEL_CASES = [
+    (3 * _P - 1, 3000, (0,), None),
+    (3 * _P, 3000, (0, 1), None),
+    (3 * _P + 1, 3000, (0, 2, 6), None),
+    (7 * _P - 2, 90_000, (0, _P + 1), None),
+    (5 * _P - 700, 4000, (_P, 2 * _P + 3, 5 * _P + 7), None),
+    (11 * _P + 5, 4000, (0, 1, 2), (3.0, 6.0, 1000.0)),
+    (2 * _P - 3, 4000, (1, _P + 2), (7.0, 7.5)),
+    (9 * _P + 9, 4000, (0, 4, _P), (2.0, 5.5, 50.0)),
+    (13 * _P - 11, 4000, (0, 3, 10), (20.0, 1000.0, 12.5)),
+]
+
+
+@pytest.mark.parametrize("segment_size", [1, 64, 997, 44099, 44100, 44101, 1 << 16])
+@pytest.mark.parametrize("x,h,offsets,levels", _KERNEL_CASES)
+def test_kernel_matches_bruteforce(segment_size, x, h, offsets, levels):
+    if segment_size == 1 and h > 5000:
+        h = 5000  # one segment per element: keep the Python loop short
+    expected = _oracle(x, h, offsets, levels)
+    assert count_tuples((x, h), offsets, z=levels, segment_size=segment_size) == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=20 * PRESIEVE_PERIOD),
+    st.integers(min_value=1, max_value=600),
+    st.lists(st.integers(min_value=0, max_value=3 * PRESIEVE_PERIOD),
+             min_size=1, max_size=3, unique=True),
+    st.sampled_from([1, 7, 64, 997, 44099, 44100, 44101]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_bruteforce_random(x, h, offsets, segment_size):
+    offsets = sorted(offsets)
+    expected = naive_count_tuples(x, h, offsets)
+    assert count_tuples((x, h), offsets, segment_size=segment_size) == expected
+
+
+def test_kernel_spans_several_segments_against_prefix_difference():
+    x, h = 10**12, 10**8  # six segments of the default size
+    assert count_tuples((x, h), [0]) == count_squarefree(x + h) - count_squarefree(x)
+
+
+def test_kernel_peak_memory_is_bounded_by_segment_buffers():
+    # The kernel holds one 16 MiB segment buffer however long the window;
+    # numpy reports its buffers to tracemalloc.
+    tracemalloc.start()
+    try:
+        count_tuples((10**12, 10**8), [0, 1, 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_density_convergence_smoke():
