@@ -5,7 +5,6 @@ decompositions."""
 from .arith import (
     MAX_SUPPORTED,
     OffsetTuple,
-    PrimeTable,
     as_offsets,
     is_prime,
     is_squarefree,

@@ -1,13 +1,13 @@
 """Exact elementary arithmetic underpinning the interval sieves.
 
-Everything here is a pure function of its inputs.  Prime tables are
-immutable after construction and safe to share across threads.
+Everything here is a pure function of its inputs.  The prime table is
+read-only, grows by replacement and is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,36 +94,28 @@ def as_offsets(value) -> OffsetTuple:
     return OffsetTuple(tuple(value))
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``bound``, ascending, as a read-only int64 array."""
-
-    bound: int
-    primes: np.ndarray
-
-    def upto(self, limit) -> np.ndarray:
-        """Read-only slice of the primes that are <= limit."""
-        idx = int(np.searchsorted(self.primes, limit, side="right"))
-        return self.primes[:idx]
-
-    def __len__(self):
-        return int(self.primes.size)
-
-
-@lru_cache(maxsize=16)
 def _sieve_primes(bound: int) -> np.ndarray:
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64)
+    primes = np.flatnonzero(flags)  # intp: int64 on every 64-bit platform
     primes.setflags(write=False)
     return primes
 
 
-def primes_up_to(bound: int, *, cap: int = PRIME_SIEVE_CAP) -> PrimeTable:
-    """Exact table of the primes in [2, bound]."""
+# The one prime table, as a (bound, primes) pair replaced whole, so a reader
+# in any thread sees a matching pair.  It only grows; the lock keeps two
+# threads from sieving (and holding) two large tables at once.
+_table: tuple[int, np.ndarray] = (1, _sieve_primes(1))
+_table_lock = threading.Lock()
+
+
+def primes_up_to(bound: int, *, cap: int = PRIME_SIEVE_CAP) -> np.ndarray:
+    """Exact primes in [2, bound], ascending: a read-only int64 prefix view of
+    the one shared prime table."""
+    global _table
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -131,20 +123,23 @@ def primes_up_to(bound: int, *, cap: int = PRIME_SIEVE_CAP) -> PrimeTable:
         raise MemoryBudgetError(
             f"prime sieve bound {bound} exceeds the configured cap {cap}"
         )
-    # Sieve to the next power of two so nearby requests share one cached array.
-    bucket = 1 << (bound - 1).bit_length() if bound > 1 else 2
-    if bucket > cap:
-        bucket = bound
-    primes = _sieve_primes(bucket)
-    idx = int(np.searchsorted(primes, bound, side="right"))
-    view = primes[:idx]
-    view.setflags(write=False)
-    return PrimeTable(bound=bound, primes=view)
+    table_bound, primes = _table
+    if bound > table_bound:
+        with _table_lock:
+            table_bound, primes = _table
+            if bound > table_bound:
+                # Sieve to the next power of two so nearby requests reuse it.
+                table_bound = 1 << (bound - 1).bit_length()
+                if table_bound > cap:
+                    table_bound = bound
+                primes = _sieve_primes(table_bound)
+                _table = (table_bound, primes)
+    return primes[:int(np.searchsorted(primes, bound, side="right"))]
 
 
 @lru_cache(maxsize=8)
 def _prime_list(bucket: int) -> tuple[int, ...]:
-    return tuple(int(p) for p in primes_up_to(bucket).primes)
+    return tuple(primes_up_to(bucket).tolist())
 
 
 def _small_primes(bound: int) -> tuple[int, ...]:
@@ -269,7 +264,7 @@ def mobius_up_to(n: int, *, cap: int = MOBIUS_SIEVE_CAP) -> np.ndarray:
     mu[0] = 0
     dtype = np.int32 if n < 2**31 else np.int64
     val = np.arange(n + 1, dtype=dtype)
-    for p in primes_up_to(math.isqrt(n)).primes.tolist() if n >= 4 else []:
+    for p in primes_up_to(math.isqrt(n)).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         val[p::p] //= p

@@ -18,26 +18,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .arith import (
-    MAX_SUPPORTED,
     as_offsets,
     primes_up_to,
     residue_class_count,
     squarefull_radical,
 )
-from .sieve import Window, as_window, count_tuples
+from .sieve import Window, as_window, count_tuples, full_level
 
 # Total candidate scans allowed per decomposition.
 LEDGER_WORK_CAP = 2_000_000
-
-
-def _library_top(window: Window, offsets) -> float:
-    """Safe full-squarefree level: 2 sqrt(window end + largest offset)."""
-    return 2.0 * math.sqrt(window.end + offsets.offsets[-1])
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ def base_main_term(offsets, cutoff: float) -> MainTermEstimate:
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     bound = math.ceil(cutoff) - 1  # primes strictly below the cutoff
-    ps = primes_up_to(bound).primes.tolist() if bound >= 2 else []
+    ps = primes_up_to(bound).tolist()
     product = 1.0
     cap = 1
     for p in ps:
@@ -88,7 +81,7 @@ def count_square_hits(window, offsets, coord: int, q_lo: float, q_hi: float) -> 
     bound = math.isqrt(w.end + off)
     if bound < 2 or q_lo >= q_hi:
         return 0
-    ps = primes_up_to(bound).primes
+    ps = primes_up_to(bound)
     qs = ps[(ps >= q_lo) & (ps < q_hi)]
     if qs.size == 0:
         return 0
@@ -100,10 +93,10 @@ def count_square_hits(window, offsets, coord: int, q_lo: float, q_hi: float) -> 
 def count_square_hits_split(window, offsets, coord: int, cutoff: float,
                             split_at: float) -> tuple[int, int]:
     """Split the square-hit sum at a threshold: primes in [cutoff, split_at)
-    versus [split_at, top), where top is the library-safe full level."""
+    versus [split_at, top), where top is sieve.full_level."""
     w = as_window(window)
     l = as_offsets(offsets)
-    top = _library_top(w, l)
+    top = full_level(w, l)
     if not cutoff <= split_at <= top:
         raise ValueError("need cutoff <= split threshold <= 2*sqrt(window end + largest offset)")
     below = count_square_hits(w, l, coord, cutoff, split_at)
@@ -160,21 +153,20 @@ def buchstab_decompose(window, offsets, cutoff: float, *,
                        work_cap: int = LEDGER_WORK_CAP) -> BuchstabReport:
     """Build the exact removal ledger; reconciliation must come out zero.
 
-    Rows (coord, q) run over primes q from the cutoff up to the library-safe
-    full level; rows whose q^2 exceeds every window element are identically
+    Rows (coord, q) run over primes q from the cutoff up to the full level
+    (sieve.full_level); rows whose q^2 exceeds every window element are identically
     zero and omitted from the ledger.
     """
     w = as_window(window)
     l = as_offsets(offsets)
-    top = _library_top(w, l)
+    top = full_level(w, l)
     if not 2.0 <= cutoff <= top:
         raise ValueError("cutoff must lie in [2, 2*sqrt(window end + largest offset)]")
     base_count = count_tuples(w, l, z=cutoff)
     exact = count_tuples(w, l)
     main = base_main_term(l, cutoff)
 
-    table = primes_up_to(max(math.isqrt(w.end + l.offsets[-1]), 2))
-    primes = table.primes.tolist()
+    primes = primes_up_to(math.isqrt(w.end + l.offsets[-1])).tolist()
     prime_sqs = [p * p for p in primes]
     n_below_cutoff = bisect_left(primes, cutoff)
     q_lo = math.ceil(cutoff)
@@ -245,12 +237,7 @@ class SquareMultipleQuery:
     d_hi: float
 
     def __post_init__(self):
-        if self.x < 0:
-            raise ValueError("window start must be non-negative")
-        if self.h < 1:
-            raise ValueError("window length must be positive")
-        if self.x + self.h > MAX_SUPPORTED:
-            raise ValueError("window exceeds the supported range 2^62")
+        Window(self.x, self.h)  # the window checks and their messages
         if self.d_lo < 1:
             raise ValueError("d_lo must be at least 1")
         if self.d_lo > self.d_hi:

@@ -23,7 +23,7 @@ from .buchstab import SquareMultipleQuery, buchstab_decompose, count_square_mult
 from .density import DEFAULT_PRIME_CUTOFF, density_constant, inverse_density_cap
 from .errors import ContractViolation, DegenerateTupleError, MemoryBudgetError
 from .selberg import excess_exponent, optimal_weights, quadratic_form_bound, sieve_level
-from .sieve import Window, count_tuples
+from .sieve import MAX_THREADS, Window, count_tuples, full_level
 
 COLUMNS = {
     "count": ["x", "h", "offsets", "z", "q"],
@@ -43,6 +43,14 @@ COLUMNS = {
 
 def _int_arg(text: str) -> int:
     return int(text)  # int() accepts underscore digit separators
+
+
+def _threads_arg(text: str) -> int:
+    # Checked at parse time, so a bad value exits 2 before any work runs.
+    threads = int(text)
+    if not 1 <= threads <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"threads must lie in [1, {MAX_THREADS}]")
+    return threads
 
 
 def _float_arg(text: str) -> float:
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=_int_arg, required=True)
 
     def threads(p):
-        p.add_argument("--threads", type=_int_arg, default=1)
+        p.add_argument("--threads", type=_threads_arg, default=1)
 
     def prime_cutoff(p):
         p.add_argument("--prime-cutoff", type=_int_arg, default=DEFAULT_PRIME_CUTOFF)
@@ -161,7 +169,7 @@ def run_command(args: argparse.Namespace) -> list[dict]:
         # "auto" keeps the default full-squarefree level
         z = float(args.z) if args.z not in (None, "auto") else None
         q = count_tuples(w, args.offsets, z=z, threads=args.threads)
-        z_used = z if z is not None else 2.0 * math.sqrt(w.end + args.offsets.offsets[-1])
+        z_used = z if z is not None else full_level(w, args.offsets)
         return [{"x": w.x, "h": w.h, "offsets": str(args.offsets), "z": z_used, "q": q}]
 
     if args.command == "density":

@@ -66,7 +66,7 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
     cutoff = int(prime_cutoff)
     if cutoff < 2 * r:
         raise ValueError("prime_cutoff must be at least twice the tuple size")
-    ps = primes_up_to(cutoff).primes
+    ps = primes_up_to(cutoff)
     # u(p) can fall short of r (offset collisions) only when p^2 <= span, and
     # can reach the degenerate value p^2 only when p^2 <= r.
     explicit_bound = math.isqrt(max(l.span, r))

@@ -69,7 +69,7 @@ class _LocalData:
         self.u_prime: dict[int, int] = {}
         local = [None] * (zi + 1)
         inv_local = [None] * (zi + 1)
-        for q in primes_up_to(max(zi, 1)).primes.tolist() if zi >= 2 else []:
+        for q in primes_up_to(max(zi, 1)).tolist():
             u = residue_class_count(q, self.offsets)
             if u == q * q:
                 raise DegenerateTupleError(
@@ -101,21 +101,14 @@ class _LocalData:
         self.inv_prod = inv_prod
         self.u_val = u_val
         self.mobius = mob
-        self._memo: dict[tuple[int, int], Number] = {}
 
     def squarefree_values(self) -> list[int]:
         return [k for k in range(1, self.zi + 1) if self.g[k] is not None]
 
     def normalizing_sum(self, yi: int, m: int) -> Number:
-        key = (yi, m)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         terms = [self.g[k] for k in range(1, min(yi, self.zi) + 1)
                  if self.g[k] is not None and math.gcd(k, m) == 1]
-        value = sum(terms) if self.exact else math.fsum(terms)
-        self._memo[key] = value
-        return value
+        return sum(terms) if self.exact else math.fsum(terms)
 
 
 def normalizing_sum(y: float, coprime_to: int, offsets, *, exact: bool = True) -> Number:
@@ -136,7 +129,6 @@ class SelbergSystem:
     level: float
     offsets: object
     weights: dict                  # squarefree d <= level -> weight; weight[1] = 1
-    sum_table: dict                # (floor(y), m) -> normalizing sum value
     normalizer: Number             # normalizing sum at the level itself
     form_minimum: Number           # minimal quadratic-form value = 1/normalizer
     weight_mass: float             # sum over d of |weight(d)| * u(d)
@@ -180,7 +172,6 @@ def optimal_weights(level: float, offsets, *, exact: Optional[bool] = None,
         level=level,
         offsets=l,
         weights=weights,
-        sum_table=dict(data._memo),
         normalizer=norm,
         form_minimum=form_min,
         weight_mass=mass,
@@ -252,24 +243,22 @@ def upper_bound_parameters(h: float, r: int, x: Optional[float] = None) -> Upper
 
 @dataclass(frozen=True)
 class UpperBoundCertificate:
-    """Quadratic-form upper bound for a window, with optional exact count."""
+    """Quadratic-form upper bound for a window, with its exact count."""
 
     window: Window
     offsets: object
     level: float
     form_value: Number             # sum of weight(d1) weight(d2) N(lcm), N exact
-    exact_count: Optional[int]
+    exact_count: int
     reference_rhs: float           # density * h * (1 + h^(-1/3 + excess exponent))
 
     @property
-    def certified(self) -> Optional[bool]:
-        if self.exact_count is None:
-            return None
+    def certified(self) -> bool:
         return self.exact_count <= float(self.form_value) + 1e-6
 
 
 def quadratic_form_bound(window, offsets, system: SelbergSystem, *,
-                         include_exact: bool = True, threads: int = 1) -> UpperBoundCertificate:
+                         threads: int = 1) -> UpperBoundCertificate:
     """Evaluate the weight quadratic form with exact congruent counts.
 
     Every n in the window contributes the square of its total weight, which
@@ -293,7 +282,7 @@ def quadratic_form_bound(window, offsets, system: SelbergSystem, *,
                 counts[m] = n_m
             contrib = w1 * system.weights[d2] * n_m
             form += contrib if d1 == d2 else 2 * contrib
-    exact = count_tuples(w, l, threads=threads) if include_exact else None
+    exact = count_tuples(w, l, threads=threads)
     if system.density is not None and w.h >= 16:
         rho = excess_exponent(w.h)
         rhs = system.density.midpoint * w.h * (1.0 + w.h ** (-1.0 / 3.0 + rho))

@@ -33,8 +33,6 @@ _PRESIEVE_PRIMES = (2, 3, 5, 7)
 # Most worker threads count_tuples accepts.
 MAX_THREADS = 64
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class Window:
@@ -87,11 +85,17 @@ def count_squarefree(x: int) -> int:
     return int(np.sum(mu[1:] * (x // (d * d))))
 
 
+def full_level(window, offsets) -> float:
+    """The level 2*sqrt(window end + largest offset), above every prime whose
+    square can divide a shifted window element: sieving to it is the full
+    squarefree test."""
+    return 2.0 * math.sqrt(as_window(window).end + as_offsets(offsets).offsets[-1])
+
+
 def _normalize_levels(z, window: Window, offsets) -> list[float]:
     r = offsets.r
     if z is None:
-        level = 2.0 * math.sqrt(window.end + offsets.offsets[-1])
-        return [level] * r
+        return [full_level(window, offsets)] * r
     if isinstance(z, (int, float)):
         return [float(z)] * r
     levels = [float(v) for v in z]
@@ -186,13 +190,10 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
         if level < 2.0:
             raise ValueError("sieve levels must be at least 2")
         # Only primes p < level with p^2 <= window end + offset matter.
-        bounds.append(max(0, min(math.isqrt(w.end + off), math.ceil(level) - 1)))
-    table_bound = max(bounds)
-    table = primes_up_to(table_bound) if table_bound >= 2 else None
-    pairs = []
-    for off, bound in zip(l.offsets, bounds):
-        ps = table.upto(bound) if table is not None else _EMPTY
-        pairs.append((off, ps))
+        bounds.append(min(math.isqrt(w.end + off), math.ceil(level) - 1))
+    table = primes_up_to(max(bounds))
+    pairs = [(off, table[:int(np.searchsorted(table, bound, side="right"))])
+             for off, bound in zip(l.offsets, bounds)]
     size = min(int(segment_size), w.h)
     plan = _plan(pairs, size)
     segments = _segments(w.x, w.h, size)

@@ -1,10 +1,14 @@
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqfree import arith
 from sqfree.arith import (
     OffsetTuple,
     as_offsets,
@@ -155,13 +159,65 @@ def test_residue_count_bounds(p, offs):
 # --------------------------------------------------------------- primes
 
 def test_primes_up_to_examples():
-    assert primes_up_to(10).primes.tolist() == [2, 3, 5, 7]
-    assert primes_up_to(1).primes.tolist() == []
+    assert primes_up_to(10).tolist() == [2, 3, 5, 7]
+    assert primes_up_to(1).tolist() == []
     assert len(primes_up_to(100)) == 25
 
 
 def test_primes_up_to_matches_trial_division():
-    assert primes_up_to(200_000).primes.tolist() == naive_primes(200_000)
+    assert primes_up_to(200_000).tolist() == naive_primes(200_000)
+
+
+def test_primes_up_to_views_one_table():
+    big = primes_up_to(10**6)
+    small = primes_up_to(10**4)
+    for primes in (big, small):
+        assert primes.dtype == np.int64
+        assert not primes.flags.writeable
+    assert np.shares_memory(small, big)
+    assert small.tolist() == big[:small.size].tolist()
+
+
+def test_growing_the_table_keeps_one_table(monkeypatch):
+    monkeypatch.setattr(arith, "_table", (1, np.empty(0, dtype=np.int64)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        primes_up_to(1 << 20)
+        primes_up_to(1 << 21)
+        table = primes_up_to(1 << 22)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.size == 295_947  # pi(2^22)
+    assert held < 1.2 * table.nbytes
+
+
+def test_a_late_small_sieve_never_replaces_a_larger_table(monkeypatch):
+    # A request for 2^10 is held inside its sieve until a request for 2^16 in
+    # another thread has published its table, or for 0.5 s when the lock keeps
+    # that request out.  Publishing the small table last would shrink the one
+    # table and lose the large one.
+    monkeypatch.setattr(arith, "_table", (1, np.empty(0, dtype=np.int64)))
+    sieve = arith._sieve_primes
+    small_sieving = threading.Event()
+
+    def late_small_sieve(bound):
+        if bound == 1 << 10:
+            small_sieving.set()
+            deadline = time.monotonic() + 0.5
+            while arith._table[0] < 1 << 16 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return sieve(bound)
+
+    monkeypatch.setattr(arith, "_sieve_primes", late_small_sieve)
+    small = threading.Thread(target=primes_up_to, args=(1 << 10,))
+    small.start()
+    assert small_sieving.wait(timeout=30)
+    assert primes_up_to(1 << 16).tolist() == naive_primes(1 << 16)
+    small.join(timeout=30)
+    assert not small.is_alive()
+    assert arith._table[0] == 1 << 16
 
 
 def test_primes_up_to_cap():
@@ -170,7 +226,7 @@ def test_primes_up_to_cap():
 
 
 def test_is_prime_agrees_with_table():
-    table = set(primes_up_to(3000).primes.tolist())
+    table = set(primes_up_to(3000).tolist())
     for n in range(3000):
         assert is_prime(n) == (n in table)
     assert is_prime(2**61 - 1)  # Mersenne prime
@@ -180,7 +236,7 @@ def test_is_prime_agrees_with_table():
 def test_primorial_growth_cap():
     # product of primes up to w stays below 4^w, exactly in integers
     product = 1
-    for p in primes_up_to(10**4).primes.tolist():
+    for p in primes_up_to(10**4).tolist():
         product *= p
         assert product <= 4**p  # check at each prime; constant in between
     assert product <= 4**10**4

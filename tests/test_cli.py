@@ -282,12 +282,17 @@ def test_invalid_window_exit_code(capsys):
 ])
 @pytest.mark.parametrize("threads", ["0", "-3", "65", str(10**9)])
 def test_thread_count_out_of_range_exits_2_before_any_pool(capsys, monkeypatch, command, threads):
+    import sqfree.cli as cli_module
     import sqfree.sieve as sieve_module
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was created")
+    def reached(what):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{what} ran before --threads was checked")
+        return fail
 
-    monkeypatch.setattr(sieve_module, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(sieve_module, "ThreadPoolExecutor", reached("a thread pool"))
+    monkeypatch.setattr(cli_module, "optimal_weights", reached("optimal_weights"))
+    monkeypatch.setattr(cli_module, "density_constant", reached("density_constant"))
     code, out, err = run_cli(capsys, *command, "--threads", threads)
     assert code == 2
     assert out == ""

@@ -137,7 +137,7 @@ def test_split_product_and_tail_caps():
 
     from sqfree.arith import primes_up_to
 
-    primes = primes_up_to(200).primes.tolist()
+    primes = primes_up_to(200).tolist()
     log_prefix = [0.0]
     for p in primes:
         log_prefix.append(log_prefix[-1] + math.log(p))

@@ -172,7 +172,7 @@ def test_trivial_system_returns_window_length():
     # levels at or below 2 are rejected by the constructor, so the trivial
     # one-weight system is assembled by hand; its bound is the window length
     system = SelbergSystem(
-        level=2.0, offsets=as_offsets([0]), weights={1: Fraction(1)}, sum_table={},
+        level=2.0, offsets=as_offsets([0]), weights={1: Fraction(1)},
         normalizer=Fraction(1), form_minimum=Fraction(1), weight_mass=1.0,
         inv_density_upper=1.0, tail_defect=0.0, density=None, exact=True,
     )
