@@ -9,7 +9,7 @@ where the base count constrains every coordinate only below the chosen
 cutoff and row (coord, q) counts the n whose coordinate is divisible by q^2
 with q the smallest obstructing prime there, earlier coordinates already
 reduced and later ones still fully squarefree.  Everything here is exact at
-desk scale; the module also hosts the square-multiple scan used to study
+desk scale; the module also hosts the square-multiple count used to study
 how many moduli obstruct a short window.
 """
 
@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
+    _icbrt,
     as_offsets,
     primes_up_to,
     residue_class_count,
     squarefull_radical,
 )
-from .sieve import Window, as_window, count_tuples, full_level
+from .sieve import Window, as_window, count_tuples, full_level, square_multiples
 
 # Total candidate scans allowed per decomposition.
 LEDGER_WORK_CAP = 2_000_000
@@ -244,22 +245,25 @@ class SquareMultipleQuery:
             raise ValueError("d_lo must not exceed d_hi")
 
 
-def count_square_multiples(query: SquareMultipleQuery, *, chunk: int = 1 << 22) -> int:
+def count_square_multiples(query: SquareMultipleQuery) -> int:
     """Exact count of integers d in [d_lo, d_hi] with floor((x+h)/d^2) > floor(x/d^2).
 
-    Moduli with d^2 > x + h can never qualify, so the scan stops there.
+    Every d with d^2 <= h qualifies.  The d above that and below the cube
+    root of x + h are tested as one vector.  Each larger d has at most one
+    multiple k*d^2 in the window, with k below the cube root, so those count
+    as the (k, d) pairs of ``square_multiples``.
     """
+    x, top = query.x, query.x + query.h
     lo = math.ceil(query.d_lo)
-    hi = min(math.floor(query.d_hi), math.isqrt(query.x + query.h))
-    total = 0
-    top = query.x + query.h
-    a = lo
-    while a <= hi:
-        b = min(a + chunk - 1, hi)
-        d = np.arange(a, b + 1, dtype=np.int64)
-        d2 = d * d
-        total += int(np.count_nonzero(top // d2 > query.x // d2))
-        a = b + 1
+    hi = min(math.floor(query.d_hi), math.isqrt(top))
+    short = math.isqrt(query.h)
+    total = max(0, min(hi, short) - lo + 1)
+    # The helper's cofactor range is top // d1^2: keep d1 at the cube root or above.
+    d1 = max(lo, short + 1, _icbrt(top))
+    d2 = np.arange(max(lo, short + 1), min(hi + 1, d1), dtype=np.int64) ** 2
+    total += int(np.count_nonzero(top // d2 > x // d2))
+    if d1 <= hi:
+        total += square_multiples(x, top, d1 - 1, hi).size
     return total
 
 

@@ -41,20 +41,12 @@ COLUMNS = {
 }
 
 
-def _int_arg(text: str) -> int:
-    return int(text)  # int() accepts underscore digit separators
-
-
 def _threads_arg(text: str) -> int:
     # Checked at parse time, so a bad value exits 2 before any work runs.
     threads = int(text)
     if not 1 <= threads <= MAX_THREADS:
         raise argparse.ArgumentTypeError(f"threads must lie in [1, {MAX_THREADS}]")
     return threads
-
-
-def _float_arg(text: str) -> float:
-    return float(text)
 
 
 def _offsets_arg(text: str) -> OffsetTuple:
@@ -79,14 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def window(p):
-        p.add_argument("--x", type=_int_arg, required=True)
-        p.add_argument("--h", type=_int_arg, required=True)
+        p.add_argument("--x", type=int, required=True)
+        p.add_argument("--h", type=int, required=True)
 
     def threads(p):
         p.add_argument("--threads", type=_threads_arg, default=1)
 
     def prime_cutoff(p):
-        p.add_argument("--prime-cutoff", type=_int_arg, default=DEFAULT_PRIME_CUTOFF)
+        p.add_argument("--prime-cutoff", type=int, default=DEFAULT_PRIME_CUTOFF)
 
     p = sub.add_parser("count", help="exact tuple count over one window")
     window(p)
@@ -111,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("buchstab", help="exact removal-ledger decomposition")
     window(p)
     p.add_argument("--offsets", type=_offsets_arg, required=True)
-    p.add_argument("--lambda0", type=_float_arg, required=True)
+    p.add_argument("--lambda0", type=float, required=True)
     add_output_flags(p)
 
     p = sub.add_parser("squaremul", help="square-multiple obstruction count")
     window(p)
-    p.add_argument("--d-lo", type=_float_arg, required=True)
-    p.add_argument("--d-hi", type=_float_arg, required=True)
+    p.add_argument("--d-lo", type=float, required=True)
+    p.add_argument("--d-hi", type=float, required=True)
     add_output_flags(p)
 
     p = sub.add_parser("sweep", help="exact counts and density ratios over a grid")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .arith import (
     MAX_SUPPORTED,
+    _icbrt,
     as_offsets,
     mobius_up_to,
     primes_up_to,
@@ -110,34 +111,63 @@ def _segments(x: int, h: int, size: int):
         yield x + done, min(size, h - done)
 
 
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of int64 values in [0, 2^62]: there the float
+    root of j^2 is exactly j and rounding is monotone, so the float root of
+    n in [j^2, (j+1)^2) is j or j + 1, and one downward correction suffices."""
+    s = np.sqrt(n).astype(np.int64)
+    s -= s * s > n
+    return s
+
+
+def square_multiples(lo: int, hi: int, m_lo: int, m_hi: int) -> np.ndarray:
+    """Every k*m^2 in (lo, hi] with m in (m_lo, m_hi], one int64 entry per
+    pair (k, m), unordered.  For each cofactor k in (lo // m_hi^2,
+    hi // (m_lo+1)^2] the m form one interval, (max(isqrt(lo // k), m_lo),
+    min(isqrt(hi // k), m_hi)], so memory grows as m_lo falls."""
+    if m_hi <= m_lo:
+        return np.empty(0, dtype=np.int64)
+    k = np.arange(lo // (m_hi * m_hi) + 1, hi // ((m_lo + 1) ** 2) + 1, dtype=np.int64)
+    first = np.maximum(_isqrt(lo // k), m_lo)
+    counts = np.maximum(np.minimum(_isqrt(hi // k), m_hi) - first, 0)
+    # Run j of each k's block takes m = first + 1 + j.
+    starts = np.cumsum(counts) - counts
+    m = np.repeat(first + 1 - starts, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+    return np.repeat(k, counts) * m * m
+
+
+def _cofactor_bound(end: int) -> int:
+    """Primes to end^(1/3) are strided, larger squares struck through their
+    cofactors k <= end^(1/3); of c*end^(1/3), c = 0.25..4, c = 1 timed best."""
+    return _icbrt(end)
+
+
 @dataclass(frozen=True)
 class _Plan:
     """Per-call tables the segment kernel reads; shared by every worker."""
 
     tile: np.ndarray  # two periods of flags: False where some p <= 7 has p^2 | n + offset
-    strided: tuple    # (offset, [p^2, ...]) for the other primes with p^2 <= segment size
-    scattered: tuple  # (offset, int64 array of p^2) for the primes with p^2 > segment size
+    strided: tuple    # (offset, [p^2, ...]) for the primes from 11 up to the cofactor bound
+    cofactor: tuple   # (offset, top) for coordinates whose squares m^2 go past the bound
+    bound: int        # the cofactor bound
 
 
-def _plan(pairs, size: int) -> _Plan:
-    # Each coordinate's primes are all primes up to its bound, ascending: a
-    # prefix of one table, so the first four are 2, 3, 5, 7 and one array of
-    # large p^2 serves every coordinate.
+def _plan(offsets, tops, primes: np.ndarray, bound: int) -> _Plan:
+    # ``primes`` runs to min(max(tops), bound); each coordinate takes the
+    # prefix up to its own top, so the first four are 2, 3, 5, 7.
     pre = len(_PRESIEVE_PRIMES)
-    longest = max((ps for _, ps in pairs), key=len)
-    k = max(pre, int(np.searchsorted(longest, math.isqrt(size), side="right")))
-    squares = longest[k:] * longest[k:]
     tile = np.ones(PRESIEVE_PERIOD, dtype=bool)
-    strided, scattered = [], []
-    for off, ps in pairs:
-        for p in ps[:pre].tolist():
+    strided, cofactor = [], []
+    for off, top in zip(offsets, tops):
+        ps = primes[:int(np.searchsorted(primes, top, side="right"))].tolist()
+        for p in ps[:pre]:
             tile[(-off) % (p * p)::p * p] = False
-        if ps.size > pre:
-            strided.append((off, [p * p for p in ps[pre:k].tolist()]))
-        if ps.size > k:
-            scattered.append((off, squares[:ps.size - k]))
+        if len(ps) > pre:
+            strided.append((off, [p * p for p in ps[pre:]]))
+        if top > bound:
+            cofactor.append((off, top))
     # Two periods hold one full period from any phase.
-    return _Plan(np.tile(tile, 2), tuple(strided), tuple(scattered))
+    return _Plan(np.tile(tile, 2), tuple(strided), tuple(cofactor), bound)
 
 
 def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> int:
@@ -156,10 +186,12 @@ def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> in
         m1 = base + off + 1  # first shifted element of the segment
         for p2 in squares:
             alive[(-m1) % p2::p2] = False
-    for off, squares in plan.scattered:
-        # p^2 exceeds the segment, so each prime hits it at most once.
-        start = np.remainder(-(base + off + 1), squares)
-        alive[start[start < length]] = False
+    for off, top in plan.cofactor:
+        # Every m in (bound, top], composite or not: a prime q | m has
+        # q < m <= top < z_i and q^2 | m^2, so a composite m only strikes an
+        # n that q strikes anyway.
+        m1 = base + off + 1
+        alive[square_multiples(m1 - 1, m1 - 1 + length, plan.bound, top) - m1] = False
     return int(np.count_nonzero(alive))
 
 
@@ -174,7 +206,9 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
 
     The window is cut into segments of ``segment_size``.  Each worker fills
     one reused buffer per segment from a pre-sieve tile for 4, 9, 25 and 49,
-    strides the other small prime squares and scatters the large ones.
+    strides the other prime squares up to the cube root of the window end
+    and strikes the larger squares through their cofactors
+    (``square_multiples``), so only primes up to that cube root are needed.
     ``threads`` must lie in [1, MAX_THREADS]; at most one worker per segment
     runs.
     """
@@ -185,17 +219,15 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
     l = as_offsets(offsets)
     _require_range(w, l)
     levels = _normalize_levels(z, w, l)
-    bounds = []
+    tops = []
     for off, level in zip(l.offsets, levels):
         if level < 2.0:
             raise ValueError("sieve levels must be at least 2")
-        # Only primes p < level with p^2 <= window end + offset matter.
-        bounds.append(min(math.isqrt(w.end + off), math.ceil(level) - 1))
-    table = primes_up_to(max(bounds))
-    pairs = [(off, table[:int(np.searchsorted(table, bound, side="right"))])
-             for off, bound in zip(l.offsets, bounds)]
+        # Only m < level with m^2 <= window end + offset matter.
+        tops.append(min(math.isqrt(w.end + off), math.ceil(level) - 1))
+    bound = _cofactor_bound(w.end + l.offsets[-1])
+    plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound)
     size = min(int(segment_size), w.h)
-    plan = _plan(pairs, size)
     segments = _segments(w.x, w.h, size)
     lock = threading.Lock()
 

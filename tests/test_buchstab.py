@@ -1,5 +1,8 @@
 import math
 import random
+import time
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from sqfree.buchstab import (
     count_square_hits_split,
     count_square_multiples,
 )
+from sqfree.arith import _icbrt
 from sqfree.sieve import count_tuples
 
 from conftest import naive_is_squarefree
@@ -199,22 +203,30 @@ def test_square_multiples_validation():
         SquareMultipleQuery(100, 0, 1, 10)
 
 
-@given(
-    st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=1, max_value=5000),
-    st.integers(min_value=1, max_value=1200),
-    st.integers(min_value=0, max_value=1200),
-)
+@given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_square_multiples_match_bruteforce(x, h, lo, extra):
-    hi = lo + extra
-    direct = sum(1 for d in range(lo, hi + 1) if (x + h) // (d * d) > x // (d * d))
+def test_square_multiples_match_bruteforce(data):
+    # d_lo <= sqrt(h) and d_hi past the cube root of x + h: each query
+    # crosses the closed form, the vector test and the cofactor count.
+    h = data.draw(st.integers(min_value=1, max_value=10**7))
+    x = data.draw(st.integers(min_value=(math.isqrt(h) + 2) ** 3, max_value=10**15))
+    lo = data.draw(st.integers(min_value=1, max_value=math.isqrt(h)))
+    edge = _icbrt(x + h)
+    hi = data.draw(st.integers(min_value=edge + 1, max_value=edge + 10**5))
+    d = np.arange(lo, hi + 1, dtype=np.int64)
+    direct = int(np.count_nonzero((x + h) // (d * d) > x // (d * d)))
     assert count_square_multiples(SquareMultipleQuery(x, h, lo, hi)) == direct
 
 
-def test_square_multiples_chunking_invariant():
-    query = SquareMultipleQuery(10**8, 10**5, 3, 20000)
-    assert count_square_multiples(query) == count_square_multiples(query, chunk=1000)
+def test_square_multiples_far_below_the_cube_root_return_at_once():
+    # d_hi is far below (1e18)^(1/3) = 1e6, so no cofactor count runs; one
+    # with d_lo = 1000 would walk 1e12 cofactors.
+    x, h = 10**18, 10**6
+    for lo, hi in [(1, 5000), (999, 1001), (1001, 40_000)]:
+        start = time.perf_counter()
+        got = count_square_multiples(SquareMultipleQuery(x, h, lo, hi))
+        assert time.perf_counter() - start < 1.0
+        assert got == sum(1 for d in range(lo, hi + 1) if (x + h) // (d * d) > x // (d * d))
 
 
 # ------------------------------------------------- asymptotic parameters

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqfree import sieve
 from sqfree.sieve import (
     CLASS_ENUMERATION_CAP,
     MAX_THREADS,
@@ -19,13 +20,20 @@ from sqfree.sieve import (
     count_congruent,
     count_squarefree,
     count_tuples,
+    square_multiples,
     verify_congruent_asymptotic,
     _count_congruent_classes,
     _count_congruent_scan,
     _congruence_classes,
     _segments,
 )
-from sqfree.arith import as_offsets, residue_class_count_squarefree
+from sqfree.arith import (
+    _icbrt,
+    as_offsets,
+    is_tuple_squarefree,
+    primes_up_to,
+    residue_class_count_squarefree,
+)
 
 from conftest import naive_count_tuples, naive_is_squarefree, naive_primes
 
@@ -272,11 +280,95 @@ def test_huge_offsets_supported():
     assert abs(q / 10**4 - 0.505) < 2e-2
 
 
-def test_full_test_beyond_prime_cap_reports_budget():
-    from sqfree.errors import MemoryBudgetError
+def test_full_count_near_2_62_is_exact_in_bounded_memory():
+    # Squares up to 2^62 are tested, yet only primes to the cube root
+    # (1.66e6) are sieved; the cofactor pass holds about 1.66e6 int64
+    # entries per array.  The traced peak was 86-87 MiB for this window and
+    # for h = 1e6.
+    x, h, offs = 2**62 - 700, 600, [0, 2]
+    tracemalloc.start()
+    try:
+        q = count_tuples((x, h), offs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q == sum(1 for n in range(x + 1, x + h + 1) if is_tuple_squarefree(n, offs)) == 192
+    assert peak < 96 * 2**20
 
-    with pytest.raises(MemoryBudgetError):
-        count_tuples((2**61, 100), [0])  # needs primes past the table cap
+
+def test_count_tuples_needs_primes_only_to_the_cube_root(monkeypatch):
+    asked = []
+
+    def spy(bound, **kwargs):
+        asked.append(bound)
+        return primes_up_to(bound, **kwargs)
+
+    monkeypatch.setattr(sieve, "primes_up_to", spy)
+    for (x, h), offs in [((10**12, 10**5), [0, 1]), ((10**15, 1000), [0, 2, 6]),
+                         ((2**62 - 10**4, 1000), [0])]:
+        asked.clear()
+        count_tuples((x, h), offs)
+        assert asked and max(asked) <= _icbrt(x + h + offs[-1]) + 1
+
+
+@pytest.mark.parametrize("force", ["2", "7", "isqrt(h)"])
+def test_cofactor_pass_with_a_low_bound_matches_trial_division(monkeypatch, force,
+                                                               oracle_primes_2000):
+    # A low bound sends most squares, those of 2..7 included, through the
+    # cofactor pass, which may clear an element the tile already cleared.
+    rng = random.Random(f"cofactor-{force}")
+    for _ in range(12):
+        x = rng.randrange(0, 10**5)
+        h = rng.randrange(1, 400)
+        bound = {"2": 2, "7": 7, "isqrt(h)": math.isqrt(h)}[force]
+        monkeypatch.setattr(sieve, "_cofactor_bound", lambda end: bound)
+        r = rng.randrange(1, 4)
+        offs = sorted(rng.sample(range(0, 500), r))
+        levels = [rng.uniform(2.0, 400.0) for _ in range(r)]
+        expected = _levelled_count(x, h, offs, levels, oracle_primes_2000)
+        for segment_size in (h, 37):
+            assert count_tuples((x, h), offs, z=levels, segment_size=segment_size) == expected
+        assert count_tuples((x, h), offs) == naive_count_tuples(x, h, offs)
+
+
+def _square_multiples_by_m(lo, hi, m_lo, m_hi):
+    return sorted(k * m * m for m in range(m_lo + 1, m_hi + 1)
+                  for k in range(lo // (m * m) + 1, hi // (m * m) + 1))
+
+
+@given(
+    st.integers(min_value=0, max_value=10**5),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=0, max_value=300),
+)
+@settings(max_examples=80, deadline=None)
+def test_square_multiples_match_enumeration_by_m(lo, width, m_lo, m_hi):
+    got = sorted(square_multiples(lo, lo + width, m_lo, m_hi).tolist())
+    assert got == _square_multiples_by_m(lo, lo + width, m_lo, m_hi)
+
+
+@given(
+    st.integers(min_value=1, max_value=2**14),
+    st.integers(min_value=2**24, max_value=2**31),
+    st.sampled_from(["lo", "lo+1", "hi"]),
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=0, max_value=1000),
+)
+@settings(max_examples=80, deadline=None)
+def test_square_multiples_exact_at_the_window_edges_near_2_62(k, m, edge, width, below, above):
+    # v = k*m^2 sits on an edge of the window, where a float square root
+    # without its integer correction would put it on the wrong side.
+    m = min(m, math.isqrt(2**62 // k))
+    v = k * m * m
+    lo, hi = {"lo": (v, v + 1 + width), "lo+1": (v - 1, v + width),
+              "hi": (v - 1 - width, v)}[edge]
+    hi = min(hi, 2**62)
+    m_lo, m_hi = m - below, min(m + above, 2**31)
+    got = sorted(square_multiples(lo, hi, m_lo, m_hi).tolist())
+    assert got == _square_multiples_by_m(lo, hi, m_lo, m_hi)
+    assert (v in got) == (edge != "lo")
 
 
 # ------------------------------------------------------ count_congruent
