@@ -71,21 +71,43 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
     # can reach the degenerate value p^2 only when p^2 <= r.
     explicit_bound = math.isqrt(max(l.span, r))
     split = int(np.searchsorted(ps, explicit_bound, side="right"))
-    logs = []
-    for p in ps[:split].tolist():
+    logs = np.empty(ps.size, dtype=np.float64)
+    for i, p in enumerate(ps[:split].tolist()):
         u = residue_class_count(p, l)
         if u == p * p:
             return EulerEstimate(0.0, 0.0, cutoff, 0.0, True)
-        logs.append(math.log1p(-u / (p * p)))
+        logs[i] = math.log1p(-u / (p * p))
     bulk = ps[split:].astype(np.float64)
-    if bulk.size:
-        logs.extend(np.log1p(-r / (bulk * bulk)).tolist())
-    total = math.fsum(logs)
+    np.log1p(-r / (bulk * bulk), out=logs[split:])
+    total = _exact_sum(logs)
     slop = FLOAT_SLOP_PER_FACTOR * len(logs)
     tail = 2.0 * r / (cutoff - 1.0)
     upper = min(1.0, math.exp(total + slop))
     lower = math.exp(total - tail - 2.0 * slop)
     return EulerEstimate(lower, upper, cutoff, tail + 3.0 * slop, False)
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The sum of ``values`` correctly rounded, the same float as
+    ``math.fsum``, from three int64 limbs per value.
+
+    Each value v is cut on the 2^-114 grid into limbs a, b, c with
+    v = a*2^-34 + b*2^-74 + c*2^-114, every |limb| < 2^40.  For a log of a
+    local factor 1 - u/p^2 with u < p^2 and p <= PRIME_SIEVE_CAP = 2^27,
+    |v| <= log(p^2) < 38 < 2^6, so |a| < 2^40.  Fewer than pi(2^27) < 2^23
+    values then keep every limb sum below 2^63: the int64 sums are exact,
+    and one rounding of the exact rational total remains.  A value with bits
+    below 2^-114, possible only when |v| < 2^-62, falls back to ``math.fsum``.
+    """
+    limbs = []
+    scaled = values * 2.0**34
+    for _ in range(3):
+        limb = np.trunc(scaled)
+        limbs.append(int(limb.astype(np.int64).sum()))
+        scaled = (scaled - limb) * 2.0**40  # both steps exact in float64
+    if np.any(scaled):
+        return math.fsum(values.tolist())
+    return ((limbs[0] << 80) + (limbs[1] << 40) + limbs[2]) / (1 << 114)
 
 
 @dataclass(frozen=True)

@@ -137,9 +137,13 @@ def square_multiples(lo: int, hi: int, m_lo: int, m_hi: int) -> np.ndarray:
 
 
 def _cofactor_bound(end: int) -> int:
-    """Primes to end^(1/3) are strided, larger squares struck through their
-    cofactors k <= end^(1/3); of c*end^(1/3), c = 0.25..4, c = 1 timed best."""
-    return _icbrt(end)
+    """Primes to P = 4*end^(1/3) are sieved, squares above P^2 struck through
+    their cofactors k <= end / P^2 = end^(1/3)/16.  Near 2^62 placing a
+    prime costs about 5 ns and striking a cofactor about 30 ns, so P sits
+    above the cube root.  Of c*end^(1/3) for c = 1, 2, 4, 6, 8, c = 4 and 6
+    timed best on 1e6-windows from 1e15 to 2^62; c = 4 needs the smaller
+    prime table (6.6e6 at 2^62)."""
+    return 4 * _icbrt(end)
 
 
 @dataclass(frozen=True)
@@ -147,27 +151,36 @@ class _Plan:
     """Per-call tables the segment kernel reads; shared by every worker."""
 
     tile: np.ndarray  # two periods of flags: False where some p <= 7 has p^2 | n + offset
-    strided: tuple    # (offset, [p^2, ...]) for the primes from 11 up to the cofactor bound
+    strided: tuple    # (offset, [p^2, ...]) for the primes from 11 with p^2 < buffer length
+    placed: tuple     # (offset, p^2 array) for the larger primes up to min(top, bound)
     cofactor: tuple   # (offset, top) for coordinates whose squares m^2 go past the bound
     bound: int        # the cofactor bound
 
 
-def _plan(offsets, tops, primes: np.ndarray, bound: int) -> _Plan:
+def _plan(offsets, tops, primes: np.ndarray, bound: int, size: int) -> _Plan:
     # ``primes`` runs to min(max(tops), bound); each coordinate takes the
-    # prefix up to its own top, so the first four are 2, 3, 5, 7.
+    # prefix up to its own top, so the first four are 2, 3, 5, 7.  A prime
+    # with p^2 >= size hits a segment of at most size elements at most once,
+    # so one read-only array of those squares serves every coordinate.
     pre = len(_PRESIEVE_PRIMES)
+    split = max(pre, int(np.searchsorted(primes, math.isqrt(size - 1), side="right")))
+    squares = primes[split:] * primes[split:]
+    squares.flags.writeable = False
     tile = np.ones(PRESIEVE_PERIOD, dtype=bool)
-    strided, cofactor = [], []
+    strided, placed, cofactor = [], [], []
     for off, top in zip(offsets, tops):
-        ps = primes[:int(np.searchsorted(primes, top, side="right"))].tolist()
-        for p in ps[:pre]:
+        count = int(np.searchsorted(primes, top, side="right"))
+        for p in primes[:min(count, pre)].tolist():
             tile[(-off) % (p * p)::p * p] = False
-        if len(ps) > pre:
-            strided.append((off, [p * p for p in ps[pre:]]))
+        small = primes[pre:min(count, split)].tolist()
+        if small:
+            strided.append((off, [p * p for p in small]))
+        if count > split:
+            placed.append((off, squares[:count - split]))
         if top > bound:
             cofactor.append((off, top))
     # Two periods hold one full period from any phase.
-    return _Plan(np.tile(tile, 2), tuple(strided), tuple(cofactor), bound)
+    return _Plan(np.tile(tile, 2), tuple(strided), tuple(placed), tuple(cofactor), bound)
 
 
 def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> int:
@@ -186,6 +199,10 @@ def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> in
         m1 = base + off + 1  # first shifted element of the segment
         for p2 in squares:
             alive[(-m1) % p2::p2] = False
+    for off, squares in plan.placed:
+        # p^2 is at least the buffer length, so each prime hits at most once.
+        start = np.remainder(-(base + off + 1), squares)
+        alive[start[start < length]] = False
     for off, top in plan.cofactor:
         # Every m in (bound, top], composite or not: a prime q | m has
         # q < m <= top < z_i and q^2 | m^2, so a composite m only strikes an
@@ -206,9 +223,11 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
 
     The window is cut into segments of ``segment_size``.  Each worker fills
     one reused buffer per segment from a pre-sieve tile for 4, 9, 25 and 49,
-    strides the other prime squares up to the cube root of the window end
-    and strikes the larger squares through their cofactors
-    (``square_multiples``), so only primes up to that cube root are needed.
+    strides the other prime squares below the buffer length, places each
+    larger square up to four times the cube root of the window end with one
+    array remainder, and strikes the squares above that bound through their
+    cofactors (``square_multiples``), so only primes up to the bound are
+    needed.
     ``threads`` must lie in [1, MAX_THREADS]; at most one worker per segment
     runs.
     """
@@ -226,8 +245,8 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
         # Only m < level with m^2 <= window end + offset matter.
         tops.append(min(math.isqrt(w.end + off), math.ceil(level) - 1))
     bound = _cofactor_bound(w.end + l.offsets[-1])
-    plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound)
     size = min(int(segment_size), w.h)
+    plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound, size)
     segments = _segments(w.x, w.h, size)
     lock = threading.Lock()
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sqfree.cli import build_parser, main, run_command
-from sqfree.sieve import count_tuples
+from sqfree.sieve import SEGMENT_SIZE, count_tuples
 from sqfree.buchstab import SquareMultipleQuery, count_square_multiples
 
 
@@ -239,11 +239,18 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_thread_count_does_not_change_output(tmp_path):
-    paths = [tmp_path / "t1.csv", tmp_path / "t4.csv"]
-    for path, threads in zip(paths, ("1", "4")):
-        assert main(["count", "--x", "1_000_000", "--h", "200_000", "--offsets", "0,2",
-                     "--threads", threads, "--out", str(path)]) == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # Three full segments and a short fourth, so --threads 2 and 4 run that
+    # many workers; at x = 1e15 each segment also places the primes from
+    # 4096 to 4e5 and strikes the larger squares through their cofactors.
+    h = 3 * SEGMENT_SIZE + 1000
+    for x, fmt in (("1_000_000", "csv"), ("1_000_000_000_000_000", "json")):
+        outputs = []
+        for threads in ("1", "2", "4"):
+            path = tmp_path / f"{x}-t{threads}.{fmt}"
+            assert main(["count", "--x", x, "--h", str(h), "--offsets", "0,2",
+                         "--threads", threads, "--format", fmt, "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_script_out_matches_stdout(tmp_path):

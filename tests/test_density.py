@@ -1,11 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqfree import density
+from sqfree.arith import as_offsets, primes_up_to, residue_class_count
 from sqfree.density import (
+    FLOAT_SLOP_PER_FACTOR,
     EulerEstimate,
+    _exact_sum,
     certify_inverse_bound,
     density_constant,
     inverse_density_cap,
@@ -153,3 +158,58 @@ def test_split_product_and_tail_caps():
         m = math.isqrt(2 * r)
         tail = zeta2 - recip_prefix[m]
         assert 2 * r * tail <= 2.0 * w + 1e-9
+
+
+# ------------------------------------------------- the exact log sum
+
+def _fsum_bracket(offsets, cutoff):
+    """density_constant's bracket with its logs summed by math.fsum: the
+    reference for the limb sum."""
+    l = as_offsets(offsets)
+    ps = primes_up_to(cutoff)
+    split = int(np.searchsorted(ps, math.isqrt(max(l.span, l.r)), side="right"))
+    logs = [math.log1p(-residue_class_count(p, l) / (p * p)) for p in ps[:split].tolist()]
+    bulk = ps[split:].astype(np.float64)
+    logs.extend(np.log1p(-l.r / (bulk * bulk)).tolist())
+    total = math.fsum(logs)
+    slop = FLOAT_SLOP_PER_FACTOR * len(logs)
+    tail = 2.0 * l.r / (cutoff - 1.0)
+    return (math.exp(total - tail - 2.0 * slop), min(1.0, math.exp(total + slop)),
+            tail + 3.0 * slop)
+
+
+# Every density and selberg pattern of the benchmark's certify workload.
+_BENCH_PATTERNS = [
+    "0", "1", "2", "3", "0,1", "0,2", "0,6", "0,12", "0,2,6", "0,4,6", "0,1,2", "0,6,12",
+    "0,2,6,8", "0,4,6,10", "0,2,8,12", "0,6,12,18",
+]
+
+
+def test_limb_sum_gives_the_fsum_bracket_on_bench_patterns(monkeypatch):
+    expected = {p: _fsum_bracket([int(v) for v in p.split(",")], 10**7) for p in _BENCH_PATTERNS}
+
+    def no_fallback(values):
+        raise AssertionError("the limb sum fell back to math.fsum")
+
+    monkeypatch.setattr(density.math, "fsum", no_fallback)
+    for pattern, bracket in expected.items():
+        est = density_constant([int(v) for v in pattern.split(",")], 10**7)
+        assert (est.lower, est.upper, est.tail_log_bound) == bracket, pattern
+
+
+def test_limb_sum_is_exactly_rounded():
+    # Sums whose pairwise or sequential float sum is wrong in the last bit.
+    for values in ([1.0, 1e-16, -1.0], [0.1] * 10, [1.0, 2.0**-53, 2.0**-53],
+                   [37.5, -37.5, 2.0**-60], [-1e-3] * 1000 + [1.0]):
+        assert _exact_sum(np.array(values)) == math.fsum(values)
+    assert _exact_sum(np.empty(0)) == 0.0
+
+
+@given(st.lists(st.one_of(
+    st.floats(min_value=2.0**-60, max_value=38.0),
+    st.floats(min_value=-38.0, max_value=-2.0**-60),
+    st.floats(min_value=-1e-30, max_value=1e-30),  # bits below the grid: fsum answers
+), max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_limb_sum_matches_fsum_random(values):
+    assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)

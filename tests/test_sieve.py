@@ -6,6 +6,7 @@ import random
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -281,10 +282,10 @@ def test_huge_offsets_supported():
 
 
 def test_full_count_near_2_62_is_exact_in_bounded_memory():
-    # Squares up to 2^62 are tested, yet only primes to the cube root
-    # (1.66e6) are sieved; the cofactor pass holds about 1.66e6 int64
-    # entries per array.  The traced peak was 86-87 MiB for this window and
-    # for h = 1e6.
+    # Squares up to 2^62 are tested, yet only primes to four cube roots
+    # (6.6e6) are sieved; placement holds about 450k int64 entries per
+    # array and the cofactor pass about 1e5.  The traced peak was 15 MiB
+    # with the prime table built inside the trace, 12 MiB for h = 1e6.
     x, h, offs = 2**62 - 700, 600, [0, 2]
     tracemalloc.start()
     try:
@@ -293,10 +294,12 @@ def test_full_count_near_2_62_is_exact_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert q == sum(1 for n in range(x + 1, x + h + 1) if is_tuple_squarefree(n, offs)) == 192
-    assert peak < 96 * 2**20
+    assert peak < 48 * 2**20
 
 
-def test_count_tuples_needs_primes_only_to_the_cube_root(monkeypatch):
+def test_count_tuples_needs_primes_only_to_four_cube_roots(monkeypatch):
+    # The same constant as sieve._cofactor_bound, written out, so that a
+    # table to sqrt(end) (1e6 for the first window) fails here.
     asked = []
 
     def spy(bound, **kwargs):
@@ -308,7 +311,90 @@ def test_count_tuples_needs_primes_only_to_the_cube_root(monkeypatch):
                          ((2**62 - 10**4, 1000), [0])]:
         asked.clear()
         count_tuples((x, h), offs)
-        assert asked and max(asked) <= _icbrt(x + h + offs[-1]) + 1
+        assert asked and max(asked) <= 4 * _icbrt(x + h + offs[-1]) + 1
+
+
+# ------------------------------------------- strided / placed split
+#
+# Windows end in [100^3, 101^3), so the cofactor bound is 4 * 100 = 400:
+# primes from 11 with p^2 below the buffer length are strided, the rest up
+# to 397 placed with one remainder per segment, and squares above 400 struck
+# through their cofactors.  Each h leaves a shorter last segment; h = 1000
+# is shorter than most of the segment sizes, which then give one segment.
+
+_SPLIT_WINDOWS = [
+    (10**6, 24_500, (0, 2)),
+    (10**6 + 20_000, 1_000, (0, 1, 7)),
+]
+
+
+@pytest.mark.parametrize("segment_size", [
+    120, 121, 122,           # 11^2 = 121 at size + 1, size, size - 1
+    168, 169, 170,           # 13^2
+    10_200, 10_201, 10_202,  # 101^2
+])
+@pytest.mark.parametrize("x,h,offsets", _SPLIT_WINDOWS)
+def test_placed_squares_at_the_split_match_bruteforce(segment_size, x, h, offsets):
+    expected = _oracle(x, h, offsets)
+    assert count_tuples((x, h), offsets, segment_size=segment_size) == expected
+
+
+@pytest.mark.parametrize("p", [11, 13, 101])
+def test_a_square_one_below_the_buffer_length_hits_twice(p):
+    # Buffer length p^2 + 1 with the first segment starting on k*p^2: p must
+    # be strided, since it strikes positions 0 and p^2 of that segment.
+    p2 = p * p
+    k = next(k for k in range(10**6 // p2, 10**6) if naive_is_squarefree(k + 1))
+    x, h = k * p2 - 1, 3 * (p2 + 1) + 5
+    assert count_tuples((x, h), [0], segment_size=p2 + 1) == _oracle(x, h, (0,))
+    assert count_tuples((x, h), [0, 2], segment_size=p2 + 1) == _oracle(x, h, (0, 2))
+
+
+@pytest.mark.parametrize("segment_size", [121, 122, 10_201, 10_202])
+def test_coordinate_tops_below_inside_and_above_the_placed_range(segment_size):
+    # Tops 8 (tile only), 11 (strides only), 200 (placed, no cofactor pass)
+    # and isqrt(end) = 1011 (placed up to 397, cofactors above 400).
+    x, h, offsets = 10**6, 24_000, (0, 2, 6, 8)
+    levels = (9.0, 12.0, 200.5, 1100.0)
+    expected = _oracle(x, h, offsets, levels)
+    assert count_tuples((x, h), offsets, z=levels, segment_size=segment_size) == expected
+
+
+@pytest.mark.parametrize("bound", [5, 11, 13, 30, 150])
+def test_tile_strides_placement_and_cofactors_overlap(monkeypatch, bound):
+    # With a low bound every phase clears some of the same elements: the
+    # tile 2..7, strides from 11 below sqrt(122), placement from 13 to the
+    # bound, cofactors above it.
+    monkeypatch.setattr(sieve, "_cofactor_bound", lambda end: bound)
+    x, h, offsets = 10**6, 24_000, (0, 2, 6, 8)
+    levels = (9.0, 12.0, 200.5, 1100.0)
+    for segment_size in (122, 10_201):
+        assert count_tuples((x, h), offsets, z=levels,
+                            segment_size=segment_size) == _oracle(x, h, offsets, levels)
+        assert count_tuples((x, h), offsets[:2],
+                            segment_size=segment_size) == _oracle(x, h, offsets[:2])
+
+
+_SPLIT_SIZES = sorted({p * p + d for p in (11, 13, 17, 23, 31, 43) for d in (-1, 0, 1)})
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6 - 3000),
+    st.integers(min_value=1, max_value=2500),
+    st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=3, unique=True),
+    st.lists(st.floats(min_value=2.0, max_value=1100.0), min_size=3, max_size=3),
+    st.sampled_from(_SPLIT_SIZES),
+    st.sampled_from([None, 7, 13, 50, 400]),
+)
+@settings(max_examples=60, deadline=None)
+def test_split_matches_trial_division_random(x, h, offsets, levels, segment_size, bound):
+    offsets = sorted(offsets)
+    levels = levels[:len(offsets)]
+    expected = _levelled_count(x, h, offsets, levels, naive_primes(1100))
+    with mock.patch.object(sieve, "_cofactor_bound",
+                           sieve._cofactor_bound if bound is None else lambda end: bound):
+        got = count_tuples((x, h), offsets, z=levels, segment_size=segment_size)
+    assert got == expected
 
 
 @pytest.mark.parametrize("force", ["2", "7", "isqrt(h)"])
