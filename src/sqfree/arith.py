@@ -22,6 +22,9 @@ PRIME_SIEVE_CAP = 1 << 27
 # Largest Mobius table (value array dominates memory).
 MOBIUS_SIEVE_CAP = 1 << 26
 
+# Most int64 residues residue_class_counts holds at once.
+_RESIDUE_BLOCK = 1 << 20
+
 # Witnesses making Miller-Rabin deterministic for n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -217,6 +220,20 @@ def residue_class_count(p: int, offsets) -> int:
         raise ValueError(f"{p} is not prime")
     p2 = p * p
     return len({off % p2 for off in l.offsets})
+
+
+def residue_class_counts(primes: np.ndarray, offsets) -> list[int]:
+    """residue_class_count for each entry of an int64 array of primes (not
+    tested for primality), counted as the distinct sorted residues per row."""
+    l = as_offsets(offsets)
+    offs = np.array(l.offsets, dtype=np.int64)
+    step = max(1, _RESIDUE_BLOCK // l.r)
+    counts = []
+    for i in range(0, len(primes), step):
+        p = primes[i:i + step, None]
+        residues = np.sort(offs % (p * p), axis=1)
+        counts += (1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)).tolist()
+    return counts
 
 
 def squarefree_prime_factors(d: int) -> list[int]:

@@ -8,30 +8,29 @@ low-level condition plus removal rows gives the exact identity
 where the base count constrains every coordinate only below the chosen
 cutoff and row (coord, q) counts the n whose coordinate is divisible by q^2
 with q the smallest obstructing prime there, earlier coordinates already
-reduced and later ones still fully squarefree.  Everything here is exact at
-desk scale; the module also hosts the square-multiple count used to study
-how many moduli obstruct a short window.
+reduced and later ones still fully squarefree.  Everything here is exact.
+LEDGER_WORK_CAP counts a candidate scan for at least every prime up to
+sqrt(window end + offset) and coordinate, so it rejects even tiny windows
+past about 1.05e15 (r = 1), 2.4e14 (r = 2), 1.0e14 (r = 3) and 5.4e13
+(r = 4).  The module also hosts the square-multiple count used to study how
+many moduli obstruct a short window.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (
-    _icbrt,
-    as_offsets,
-    primes_up_to,
-    residue_class_count,
-    squarefull_radical,
-)
-from .sieve import Window, as_window, count_tuples, full_level, square_multiples
+from .arith import _icbrt, as_offsets, primes_up_to, residue_class_counts
+from .sieve import Window, _segments, as_window, count_tuples, full_level, square_multiples
 
 # Total candidate scans allowed per decomposition.
 LEDGER_WORK_CAP = 2_000_000
+# Elements per ledger segment (4 bytes each per coordinate).  2^17 .. 2^20
+# timed alike from x = 1e6 to 1e14; 2^15 was up to 2.7x slower on long windows.
+LEDGER_SEGMENT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,10 @@ def base_main_term(offsets, cutoff: float) -> MainTermEstimate:
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     bound = math.ceil(cutoff) - 1  # primes strictly below the cutoff
-    ps = primes_up_to(bound).tolist()
+    ps = primes_up_to(bound)
     product = 1.0
     cap = 1
-    for p in ps:
-        u = residue_class_count(p, l)
+    for p, u in zip(ps.tolist(), residue_class_counts(ps, l)):
         product *= 1.0 - u / (p * p)  # a degenerate factor reports as 0
         cap *= 1 + u
     try:
@@ -124,39 +122,15 @@ class BuchstabReport:
     reconciliation: int                  # base_count - removed_total - exact_count
 
 
-def _row_passes(n: int, offs: tuple, coord_idx: int, primes: list, prime_sqs: list,
-                n_below_q: int, n_below_cutoff: int) -> bool:
-    # coordinate under removal: no prime below q may contribute a square
-    m = n + offs[coord_idx]
-    for t in range(n_below_q):
-        p2 = prime_sqs[t]
-        if p2 > m:
-            break
-        if m % p2 == 0:
-            return False
-    # earlier coordinates: already reduced to the cutoff
-    for j in range(coord_idx):
-        m = n + offs[j]
-        for t in range(n_below_cutoff):
-            p2 = prime_sqs[t]
-            if p2 > m:
-                break
-            if m % p2 == 0:
-                return False
-    # later coordinates: still fully squarefree
-    for j in range(coord_idx + 1, len(offs)):
-        if squarefull_radical(n + offs[j]) != 1:
-            return False
-    return True
-
-
 def buchstab_decompose(window, offsets, cutoff: float, *,
                        work_cap: int = LEDGER_WORK_CAP) -> BuchstabReport:
     """Build the exact removal ledger; reconciliation must come out zero.
 
     Rows (coord, q) run over primes q from the cutoff up to the full level
     (sieve.full_level); rows whose q^2 exceeds every window element are identically
-    zero and omitted from the ledger.
+    zero and omitted from the ledger.  The rows share no code with the counts
+    they reconcile: each segment marks, per coordinate, the least prime whose
+    square divides n + offset, and tallies row (i, q) from those marks.
     """
     w = as_window(window)
     l = as_offsets(offsets)
@@ -167,45 +141,51 @@ def buchstab_decompose(window, offsets, cutoff: float, *,
     exact = count_tuples(w, l)
     main = base_main_term(l, cutoff)
 
-    primes = primes_up_to(math.isqrt(w.end + l.offsets[-1])).tolist()
-    prime_sqs = [p * p for p in primes]
-    n_below_cutoff = bisect_left(primes, cutoff)
-    q_lo = math.ceil(cutoff)
+    primes = primes_up_to(math.isqrt(w.end + l.offsets[-1]))
+    squares = primes * primes
+    lo = int(np.searchsorted(primes, cutoff))  # first prime not below the cutoff
+    tops = [int(np.searchsorted(primes, math.isqrt(w.end + off), side="right"))
+            for off in l.offsets]
 
-    # candidate-work estimate before scanning
-    work = 0
-    for off in l.offsets:
-        for q in primes:
-            if q < q_lo:
-                continue
-            if q * q > w.end + off:
-                break
-            work += w.h // (q * q) + 1
+    # candidate-work estimate before scanning: h // q^2 + 1 per row
+    scans = w.h // squares[lo:] + 1
+    work = sum(int(scans[:top_i - lo].sum()) for top_i in tops if top_i > lo)
     if work > work_cap:
         raise ValueError(
             f"window too large for an exact ledger ({work} candidate scans > cap {work_cap})"
         )
 
-    rows = []
-    removed_total = 0
-    offs = l.offsets
-    for coord_idx in range(l.r):
-        off = offs[coord_idx]
-        q_cap = math.isqrt(w.end + off)
-        start_idx = bisect_left(primes, q_lo)
-        for qi in range(start_idx, len(primes)):
-            q = primes[qi]
-            if q > q_cap:
-                break
-            q2 = prime_sqs[qi]
-            n = w.x + 1 + ((-off - (w.x + 1)) % q2)
-            removed = 0
-            while n <= w.end:
-                if _row_passes(n, offs, coord_idx, primes, prime_sqs, qi, n_below_cutoff):
-                    removed += 1
-                n += q2
-            rows.append((coord_idx + 1, q, removed))
-            removed_total += removed
+    sentinel = primes.size
+    size = min(LEDGER_SEGMENT, w.h)
+    split = int(np.searchsorted(primes, math.isqrt(size - 1), side="right"))
+    strided = squares[:split].tolist()
+    least = np.empty((l.r, size), dtype=np.int32)
+    tallies = np.zeros((l.r, sentinel + 1), dtype=np.int64)
+    for base, length in _segments(w.x, w.h, size):
+        marks = least[:, :length]
+        marks.fill(sentinel)
+        for i, (off, top_i) in enumerate(zip(l.offsets, tops)):
+            # marks[i, k]: the index of the least prime whose square divides
+            # m1 + k.  Placed squares hit at most once each, but two can meet
+            # (3^2 and 5^2 on 225 at length 5), so the minimum is kept.
+            m1 = base + off + 1
+            start = np.remainder(-m1, squares[split:top_i])
+            hit = np.flatnonzero(start < length)
+            np.minimum.at(marks[i], start[hit], (hit + split).astype(np.int32))
+            # Strided primes lie below the placed ones; the smallest writes last.
+            for t in range(min(split, top_i) - 1, -1, -1):
+                marks[i, (-m1) % strided[t]::strided[t]] = t
+        free = marks == sentinel
+        reduced = np.ones(length, dtype=bool)  # no earlier coordinate hit below the cutoff
+        for i in range(l.r):
+            row = marks[i] >= lo  # in a row, or squarefree
+            kept = marks[i][reduced & row & ~free[i] & free[i + 1:].all(axis=0)]
+            tallies[i] += np.bincount(kept, minlength=sentinel + 1)
+            reduced &= row
+
+    rows = [(i + 1, q, removed) for i, top_i in enumerate(tops)
+            for q, removed in zip(primes[lo:top_i].tolist(), tallies[i, lo:top_i].tolist())]
+    removed_total = sum(int(tallies[i, lo:top_i].sum()) for i, top_i in enumerate(tops))
 
     per_coord = tuple(
         count_square_hits(w, l, coord, cutoff, top) for coord in range(1, l.r + 1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import as_offsets, primes_up_to, residue_class_count
+from .arith import as_offsets, primes_up_to, residue_class_counts
 from .errors import DegenerateTupleError
 
 DEFAULT_PRIME_CUTOFF = 10_000_000
@@ -72,8 +72,8 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
     explicit_bound = math.isqrt(max(l.span, r))
     split = int(np.searchsorted(ps, explicit_bound, side="right"))
     logs = np.empty(ps.size, dtype=np.float64)
-    for i, p in enumerate(ps[:split].tolist()):
-        u = residue_class_count(p, l)
+    explicit = ps[:split]
+    for i, (p, u) in enumerate(zip(explicit.tolist(), residue_class_counts(explicit, l))):
         if u == p * p:
             return EulerEstimate(0.0, 0.0, cutoff, 0.0, True)
         logs[i] = math.log1p(-u / (p * p))

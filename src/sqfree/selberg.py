@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import as_offsets, primes_up_to, residue_class_count
+from .arith import as_offsets, primes_up_to, residue_class_counts
 from .density import DEFAULT_PRIME_CUTOFF, EulerEstimate, density_constant
 from .errors import DegenerateTupleError
 from .sieve import Window, as_window, count_congruent, count_tuples
@@ -69,8 +69,8 @@ class _LocalData:
         self.u_prime: dict[int, int] = {}
         local = [None] * (zi + 1)
         inv_local = [None] * (zi + 1)
-        for q in primes_up_to(max(zi, 1)).tolist():
-            u = residue_class_count(q, self.offsets)
+        primes = primes_up_to(max(zi, 1))
+        for q, u in zip(primes.tolist(), residue_class_counts(primes, self.offsets)):
             if u == q * q:
                 raise DegenerateTupleError(
                     f"offsets cover all residues modulo {q}^2; system not constructible"

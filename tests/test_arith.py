@@ -18,6 +18,7 @@ from sqfree.arith import (
     primes_up_to,
     residue_class_count,
     residue_class_count_squarefree,
+    residue_class_counts,
     squarefree_prime_factors,
     squarefull_product,
     squarefull_radical,
@@ -154,6 +155,21 @@ def test_residue_count_bounds(p, offs):
     offs = sorted(offs)
     u = residue_class_count(p, offs)
     assert 1 <= u <= min(len(offs), p * p)
+
+
+@pytest.mark.parametrize("offs", [
+    [0, 10**12],                      # span 1e12: collisions up to p = 1e6
+    [0, 10**14, 2 * 10**14],          # span 2e14
+    [0, 1, 2, 3],                     # degenerate: u(2) = 4 = 2^2
+    [0, 2, 6, 8, 12, 18, 20, 26],
+    [0, 4 * 9 * 25 * 49 * 121],
+])
+@pytest.mark.parametrize("block", [1, 7, 1 << 20])
+def test_residue_class_counts_match_the_per_prime_count(monkeypatch, offs, block):
+    monkeypatch.setattr(arith, "_RESIDUE_BLOCK", block)
+    ps = primes_up_to(3000 if block < 100 else 20_000)
+    assert residue_class_counts(ps, offs) == [residue_class_count(p, offs) for p in ps.tolist()]
+    assert residue_class_counts(ps[:0], offs) == []
 
 
 # --------------------------------------------------------------- primes

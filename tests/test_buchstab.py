@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -17,10 +18,11 @@ from sqfree.buchstab import (
     count_square_hits_split,
     count_square_multiples,
 )
+from sqfree import buchstab, sieve
 from sqfree.arith import _icbrt
 from sqfree.sieve import count_tuples
 
-from conftest import naive_is_squarefree
+from conftest import naive_is_squarefree, naive_primes
 
 
 # -------------------------------------------------------- decomposition
@@ -56,31 +58,121 @@ def test_decomposition_randomized_reconciliation():
         assert total_rows <= sum(report.per_coord_hits)
 
 
+def _passes(n, offs, cutoff, coord, q):
+    """Brute-force ledger membership: q is the least prime whose square
+    divides the coordinate, earlier coordinates have no square of a prime
+    below the cutoff, later ones are squarefree."""
+    m = n + offs[coord - 1]
+    if m % (q * q) != 0:
+        return False
+    for p in range(2, q):
+        if all(p % d for d in range(2, p)) and m % (p * p) == 0:
+            return False
+    for j in range(coord - 1):
+        mj = n + offs[j]
+        for p in range(2, math.ceil(cutoff)):
+            if p < cutoff and all(p % d for d in range(2, p)) and mj % (p * p) == 0:
+                return False
+    for j in range(coord, len(offs)):
+        if not naive_is_squarefree(n + offs[j]):
+            return False
+    return True
+
+
+def _oracle_ledger(x, h, offs, cutoff):
+    """Every ledger row: each prime q in [ceil(cutoff), isqrt(end + offset)]
+    per coordinate, in order, recounted by ``_passes``."""
+    primes = naive_primes(math.isqrt(x + h + offs[-1]))
+    return tuple(
+        (coord, q, sum(1 for n in range(x + 1, x + h + 1) if _passes(n, offs, cutoff, coord, q)))
+        for coord in range(1, len(offs) + 1)
+        for q in primes
+        if math.ceil(cutoff) <= q <= math.isqrt(x + h + offs[coord - 1])
+    )
+
+
 def test_ledger_rows_are_exact():
-    # every ledger row recounted by brute force
     x, h, offs, cutoff = 2000, 400, (0, 3), 7.0
     report = buchstab_decompose((x, h), offs, cutoff)
+    assert report.ledger == _oracle_ledger(x, h, offs, cutoff)
 
-    def passes(n, coord, q):
-        m = n + offs[coord - 1]
-        if m % (q * q) != 0:
-            return False
-        for p in range(2, q):
-            if all(p % d for d in range(2, p)) and m % (p * p) == 0:
-                return False
-        for j in range(coord - 1):
-            mj = n + offs[j]
-            for p in range(2, math.ceil(cutoff)):
-                if p < cutoff and all(p % d for d in range(2, p)) and mj % (p * p) == 0:
-                    return False
-        for j in range(coord, len(offs)):
-            if not naive_is_squarefree(n + offs[j]):
-                return False
-        return True
 
-    for coord, q, removed in report.ledger:
-        direct = sum(1 for n in range(x + 1, x + h + 1) if passes(n, coord, q))
-        assert direct == removed, (coord, q)
+@pytest.mark.parametrize("length", [1, 7, 120, 121, 122, 168, 169, 170])
+def test_ledger_segment_edges_match_the_oracle(monkeypatch, length):
+    # 11^2 and 13^2 sit one below, at and one above the segment length, and
+    # no window is a whole number of segments.
+    monkeypatch.setattr(buchstab, "LEDGER_SEGMENT", length)
+    for (x, h), offs, cutoff in [((5000, 1000), (0, 2), 5.5), ((14_000, 611), (0, 1, 4), 3.0)]:
+        report = buchstab_decompose((x, h), offs, cutoff)
+        assert report.ledger == _oracle_ledger(x, h, offs, cutoff), length
+        assert report.reconciliation == 0
+
+
+def test_two_placed_squares_on_one_element_go_to_the_smaller_prime(monkeypatch):
+    # At length 5 both 3^2 and 5^2 are placed, and both divide 225, the last
+    # element of the window (220, 225] and its only odd-square hit.
+    monkeypatch.setattr(buchstab, "LEDGER_SEGMENT", 5)
+    report = buchstab_decompose((220, 5), [0], 3.0)
+    rows = {q: removed for _, q, removed in report.ledger}
+    assert rows[3] == 1 and rows[5] == 0
+    assert report.ledger == _oracle_ledger(220, 5, (0,), 3.0)
+
+
+@pytest.mark.parametrize("window, offs, cutoff", [
+    ((3000, 500), (0, 2, 6, 8), 5.0),   # r = 4, a prime cutoff
+    ((3000, 500), (0, 2, 6, 8), 5.5),   # a non-integer cutoff
+    ((0, 300), (0, 1), 3.0),            # x = 0
+    ((0, 20), (0, 100), 6.0),           # isqrt(20) = 4 < 6: coordinate 1 has no rows
+])
+def test_ledger_edge_inputs_match_the_oracle(window, offs, cutoff):
+    report = buchstab_decompose(window, offs, cutoff)
+    assert report.ledger == _oracle_ledger(*window, offs, cutoff)
+    assert report.reconciliation == 0
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_ledger_matches_the_oracle_random(data):
+    x = data.draw(st.integers(min_value=0, max_value=10**5))
+    h = data.draw(st.integers(min_value=1, max_value=400))
+    offs = tuple(sorted(data.draw(st.sets(st.integers(0, 60), min_size=1, max_size=4))))
+    top = 2.0 * math.sqrt(x + h + offs[-1])
+    cutoff = data.draw(st.floats(min_value=2.0, max_value=min(top, 40.0)))
+    length = data.draw(st.sampled_from([1, 5, 9, 48, 49, 50, buchstab.LEDGER_SEGMENT]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(buchstab, "LEDGER_SEGMENT", length)
+        report = buchstab_decompose((x, h), offs, cutoff)
+    assert report.ledger == _oracle_ledger(x, h, offs, cutoff)
+
+
+def test_ledger_adds_no_window_count(monkeypatch):
+    # Only the base and exact counts run the sieve; the rows come from their
+    # own marks, so reconciliation compares two independent paths.
+    calls = []
+    plans = []
+    real_count, real_plan = buchstab.count_tuples, sieve._plan
+    monkeypatch.setattr(buchstab, "count_tuples",
+                        lambda *a, **k: calls.append(k) or real_count(*a, **k))
+    monkeypatch.setattr(sieve, "_plan", lambda *a: plans.append(1) or real_plan(*a))
+    report = buchstab_decompose((10**6, 3 * 10**5), [0, 2, 6], 5.5)
+    assert report.reconciliation == 0
+    assert len(calls) == len(plans) == 2
+    assert calls == [{"z": 5.5}, {}]
+
+
+def test_ledger_memory_is_bounded():
+    # Four coordinates of 2^18 int32 marks are 4 MiB and their squarefree
+    # flags 1 MiB; the traced peak was 6.55 MiB.
+    args = ((10**6, 4 * 10**6), [0, 2, 6, 8], 10.0)
+    buchstab_decompose((10**6, 10), [0], 2.0)  # grow the shared prime table first
+    tracemalloc.start()
+    try:
+        report = buchstab_decompose(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.reconciliation == 0
+    assert peak < 8 * 2**20
 
 
 def test_cutoff_validation():

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from sqfree.cli import build_parser, main, run_command
+from sqfree.cli import COLUMNS, build_parser, main, run_command
 from sqfree.sieve import SEGMENT_SIZE, count_tuples
 from sqfree.buchstab import SquareMultipleQuery, count_square_multiples
 
@@ -91,6 +93,65 @@ def test_buchstab_command(capsys):
     row = parse_csv(out)[0]
     assert row["reconciliation"] == "0"
     assert int(row["base_count"]) - int(row["removed_total"]) == int(row["exact_count"])
+
+
+# Outputs recorded before the ledger was rebuilt as one marking pass per
+# segment: the CSV data row and the first 16 hex digits of the JSON's sha256.
+# r = 1..4, cutoffs 2, 3, 5, 5.5 and 10, x = 0, a degenerate pattern, and a
+# window of 300000, longer than one 2^18 ledger segment.
+BUCHSTAB_RECORDED = [
+    ("--x 10000 --h 1000 --offsets 0 --lambda0 2",
+     "10000,1000,0,2,1000,1000,0,1,396,454,604,0,27",
+     "904c939b2ad1284a"),
+    ("--x 10000 --h 1000 --offsets 0,2 --lambda0 5",
+     "10000,1000,0;2,5,390,388.888888888889,1.11111111111109,9,70,186,320,0,50",
+     "0b057fc31a9b55d6"),
+    ("--x 1000000 --h 300000 --offsets 0,2 --lambda0 10",
+     "1000000,300000,0;2,10,102954,102952.380952381,1.61904761903861,81,6173,18374,96781,0,370",
+     "6b8cc9e1ca84df15"),
+    ("--x 123456 --h 5000 --offsets 0,2,6 --lambda0 5.5",
+     "123456,5000,0;2;6,5.5,1467,1466.66666666667,0.33333333333303,48,202,756,1265,0,204",
+     "5a309347920eb002"),
+    ("--x 5000000 --h 20000 --offsets 0,2,6,8 --lambda0 10",
+     "5000000,20000,0;2;6;8,10,4286,4285.71428571429,0.285714285713766,375,509,2436,3777,0,1316",
+     "ab69a27bad81ecfb"),
+    ("--x 0 --h 300 --offsets 0,1 --lambda0 3",
+     "0,300,0;1,3,150,150,0,3,52,110,98,0,12",
+     "016412f2cd448a51"),
+    ("--x 98091474 --h 100000 --offsets 0,2 --lambda0 5",
+     "98091474,100000,0;2,5,38888,38888.8888888889,0.888888888890506,9,6610,18220,32278,0,2440",
+     "f7540ad0753d19af"),
+    ("--x 1000000000000 --h 1000 --offsets 0 --lambda0 2",
+     "1000000000000,1000,0,2,1000,1000,0,1,395,454,605,0,78498",
+     "12dd2a3b711f928f"),
+    ("--x 3000 --h 500 --offsets 0,1,2,3 --lambda0 2",
+     "3000,500,0;1;2;3,2,500,500,0,1,500,900,0,0,68",
+     "db50ec2779f6e82b"),
+    ("--x 1708114 --h 100000 --offsets 0,1 --lambda0 3",
+     "1708114,100000,0;1,3,50000,50000,0,3,17726,40430,32274,0,432",
+     "d8d64e01a93e2a8c"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_row, json_digest", BUCHSTAB_RECORDED)
+def test_buchstab_output_is_byte_identical_to_the_record(capsys, argv, csv_row, json_digest):
+    code, out, _ = run_cli(capsys, "buchstab", *argv.split())
+    assert code == 0
+    assert out == ",".join(COLUMNS["buchstab"]) + "\n" + csv_row + "\n"
+    code, out, _ = run_cli(capsys, "buchstab", *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == json_digest
+
+
+def test_buchstab_work_cap_reject_is_unchanged(capsys):
+    code, out, err = run_cli(capsys, "buchstab", "--x", "1000000", "--h", "5000000",
+                             "--offsets", "0", "--lambda0", "2")
+    assert code == 2
+    assert out == ""
+    assert err == ("note: largest offset or window length exceeds the window start; "
+                   "results are exact but outside the certified asymptotic regime\n"
+                   "error: window too large for an exact ledger "
+                   "(2261195 candidate scans > cap 2000000)\n")
 
 
 def test_squaremul_command(capsys):
@@ -346,3 +407,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n")[1].endswith(",7")
+
+
+# ------------------------------------------------------------- README
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_has_command_line_examples():
+    lines = _readme_examples()
+    assert len(lines) >= 6
+    assert all(line.startswith("sqfree ") for line in lines)
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_example_runs(capsys, line):
+    # A `# column = value` comment is checked against the CSV row.
+    command, _, comment = line.partition("#")
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+    if comment.strip():
+        column, value = (part.strip() for part in comment.split("="))
+        assert parse_csv(out)[0][column] == value

@@ -197,6 +197,21 @@ def test_limb_sum_gives_the_fsum_bracket_on_bench_patterns(monkeypatch):
         assert (est.lower, est.upper, est.tail_log_bound) == bracket, pattern
 
 
+@pytest.mark.parametrize("offs", [[0, 10**12], [0, 10**14, 2 * 10**14], [0, 6, 10**13]])
+def test_wide_spans_give_the_per_prime_bracket(offs):
+    # Every prime to the cutoff is explicit here; the reference counts each
+    # u(p) on its own with residue_class_count.
+    cutoff = 200_000
+    est = density_constant(offs, cutoff)
+    assert (est.lower, est.upper, est.tail_log_bound) == _fsum_bracket(offs, cutoff)
+
+
+def test_degenerate_wide_span_is_detected():
+    # offsets 0..8 shifted by multiples of 9e12 cover every class modulo 4 and 9
+    offs = sorted(k + (k % 3) * 9 * 10**12 for k in range(9))
+    assert density_constant(offs, 1000).degenerate_zero
+
+
 def test_limb_sum_is_exactly_rounded():
     # Sums whose pairwise or sequential float sum is wrong in the last bit.
     for values in ([1.0, 1e-16, -1.0], [0.1] * 10, [1.0, 2.0**-53, 2.0**-53],
