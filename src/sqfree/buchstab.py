@@ -19,7 +19,8 @@ many moduli obstruct a short window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,12 +115,21 @@ class BuchstabReport:
     base_main: float                     # window length * density product
     base_error: float                    # |base_count - base_main|
     divisor_cap: int                     # proven cap on base_error
-    ledger: tuple                        # rows (coord, q, removed) with removed-count > 0 range
+    ledger_rows: int                     # len(ledger), counted without building the rows
     removed_total: int                   # sum of ledger rows
     per_coord_hits: tuple                # plain square-hit sums per coordinate
     removed_cap: int                     # r * max per-coordinate hit sum
     exact_count: int                     # fully squarefree count
     reconciliation: int                  # base_count - removed_total - exact_count
+    # (q array, removed array) per coordinate, read by ``ledger``
+    tallies: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def ledger(self) -> tuple:
+        """Rows (coord, q, removed), one per prime q from the cutoff up to
+        sqrt(window end + offset), built on first access."""
+        return tuple((i + 1, q, removed) for i, (qs, removed_counts) in enumerate(self.tallies)
+                     for q, removed in zip(qs.tolist(), removed_counts.tolist()))
 
 
 def buchstab_decompose(window, offsets, cutoff: float, *,
@@ -183,9 +193,9 @@ def buchstab_decompose(window, offsets, cutoff: float, *,
             tallies[i] += np.bincount(kept, minlength=sentinel + 1)
             reduced &= row
 
-    rows = [(i + 1, q, removed) for i, top_i in enumerate(tops)
-            for q, removed in zip(primes[lo:top_i].tolist(), tallies[i, lo:top_i].tolist())]
-    removed_total = sum(int(tallies[i, lo:top_i].sum()) for i, top_i in enumerate(tops))
+    tallies.flags.writeable = False
+    rows = tuple((primes[lo:top_i], tallies[i, lo:top_i]) for i, top_i in enumerate(tops))
+    removed_total = sum(int(removed.sum()) for _, removed in rows)
 
     per_coord = tuple(
         count_square_hits(w, l, coord, cutoff, top) for coord in range(1, l.r + 1)
@@ -199,12 +209,13 @@ def buchstab_decompose(window, offsets, cutoff: float, *,
         base_main=w.h * main.density_product,
         base_error=abs(base_count - w.h * main.density_product),
         divisor_cap=main.divisor_cap,
-        ledger=tuple(rows),
+        ledger_rows=sum(qs.size for qs, _ in rows),
         removed_total=removed_total,
         per_coord_hits=per_coord,
         removed_cap=removed_cap,
         exact_count=exact,
         reconciliation=base_count - removed_total - exact,
+        tallies=rows,
     )
 
 

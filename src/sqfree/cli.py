@@ -225,7 +225,7 @@ def run_command(args: argparse.Namespace) -> list[dict]:
             "removed_cap": report.removed_cap,
             "exact_count": report.exact_count,
             "reconciliation": report.reconciliation,
-            "ledger_rows": len(report.ledger),
+            "ledger_rows": report.ledger_rows,
         }]
 
     if args.command == "squaremul":

@@ -19,15 +19,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from .arith import as_offsets, primes_up_to, residue_class_counts
 from .density import DEFAULT_PRIME_CUTOFF, EulerEstimate, density_constant
 from .errors import DegenerateTupleError
-from .sieve import Window, as_window, count_congruent, count_tuples
+from .sieve import (
+    Window,
+    _congruence_classes,
+    _segments,
+    as_window,
+    count_congruent,
+    count_tuples,
+)
 
 Number = Union[Fraction, float]
 
 LEVEL_CAP = 10_000.0
 EXACT_LEVEL_CAP = 100.0
+# Elements per support-pass segment (8 bytes each).  Of 2^12 .. 2^20,
+# 2^16 and above timed within 30% of each other on windows of 1e4 .. 1e7;
+# 2^16 keeps the buffer at 0.5 MiB.
+SUPPORT_SEGMENT = 1 << 16
+_INT64_MAX = (1 << 63) - 1
 
 
 def _floor_ratio(level: float, d: int) -> int:
@@ -249,46 +263,120 @@ class UpperBoundCertificate:
     offsets: object
     level: float
     form_value: Number             # sum of weight(d1) weight(d2) N(lcm), N exact
+    form_exact: Fraction           # the same sum in exact arithmetic
     exact_count: int
     reference_rhs: float           # density * h * (1 + h^(-1/3 + excess exponent))
 
     @property
     def certified(self) -> bool:
-        return self.exact_count <= float(self.form_value) + 1e-6
+        return self.exact_count <= self.form_exact
+
+
+def _window_products(window: Window, offsets, primes: list[int]) -> set[int]:
+    """Every distinct D(n) over the window: the product of the given primes
+    p with p^2 dividing some n + offset.
+
+    D(n)^2 divides the product of the n + offset, so D fits in int64 unless
+    that product can pass 2^126 (r >= 3).  Then each multiply is checked: a
+    row that would pass 2^63 is set to 0, which stays 0, and is rebuilt
+    with Python ints.
+    """
+    class_lists = [_congruence_classes(offsets, p) for p in primes]
+    checked = math.isqrt(math.prod(window.end + off for off in offsets.offsets)) > _INT64_MAX
+    size = min(SUPPORT_SEGMENT, window.h)
+    buf = np.empty(size, dtype=np.int64)
+    products = set()
+    for base, length in _segments(window.x, window.h, size):
+        d = buf[:length]
+        d.fill(1)
+        for p, (p2, classes) in zip(primes, class_lists):
+            for c in classes:
+                rows = d[(c - base - 1) % p2::p2]
+                if checked:
+                    rows[rows > _INT64_MAX // p] = 0
+                rows *= p
+        products.update(np.unique(d).tolist())
+        if checked and 0 in products:
+            products.discard(0)
+            for k in np.flatnonzero(d == 0).tolist():
+                n = base + 1 + k
+                products.add(math.prod(p for p, (p2, classes) in zip(primes, class_lists)
+                                       if n % p2 in classes))
+    return products
+
+
+def _form_support(window: Window, offsets, top: int) -> set[int]:
+    """Every squarefree m <= top^2 dividing D(n) for some n in the window,
+    D(n) taken over the primes up to top.  The set is closed under
+    divisors, and N(m) = 0 off it."""
+    primes = primes_up_to(top).tolist()
+    bound = top * top
+    support = set()
+    for product in _window_products(window, offsets, primes):
+        divisors = [1]
+        for p in primes:
+            if product == 1:
+                break
+            if product % p == 0:
+                product //= p
+                divisors += [q * p for q in divisors if q * p <= bound]
+        support.update(divisors)
+    return support
 
 
 def quadratic_form_bound(window, offsets, system: SelbergSystem, *,
                          threads: int = 1) -> UpperBoundCertificate:
     """Evaluate the weight quadratic form with exact congruent counts.
 
-    Every n in the window contributes the square of its total weight, which
-    is >= 1 whenever all shifted values are squarefree and >= 0 otherwise,
-    so the form value is an upper bound on the exact tuple count.
+    The form equals the sum over n in the window of the squared total
+    weight of the d dividing D(n) (see ``_form_support``); with weight(1) = 1
+    that is 1 wherever every shifted value is squarefree and >= 0 elsewhere,
+    so the form is an upper bound on the exact tuple count.  Only moduli
+    dividing some D(n) are counted: every other term is zero.  Float
+    weights are dyadic rationals, so scaled to integers they give the form
+    exactly, and ``certified`` is an exact comparison.
     """
     w = as_window(window)
     l = as_offsets(offsets)
     if l.offsets != system.offsets.offsets:
         raise ValueError("system was built for different offsets")
-    ds = sorted(system.weights)
+    weights = system.weights
+    if weights.get(1) != 1:
+        raise ValueError("the form bounds the count only when weight(1) = 1")
+    ds = sorted(weights)
+    support = _form_support(w, l, ds[-1])
+    kept = [d for d in ds if d in support]
+    ratios = [weights[d].as_integer_ratio() for d in kept]
+    scale = math.lcm(*(den for _, den in ratios))
+    scaled = [num * (scale // den) for num, den in ratios]
     counts: dict[int, int] = {}
-    form = Fraction(0) if system.exact else 0.0
-    for i, d1 in enumerate(ds):
-        w1 = system.weights[d1]
-        for d2 in ds[i:]:
+    form = 0.0
+    total = 0
+    for i, d1 in enumerate(kept):
+        w1, s1 = weights[d1], scaled[i]
+        for j in range(i, len(kept)):
+            d2 = kept[j]
             m = d1 * d2 // math.gcd(d1, d2)
+            if m not in support:
+                continue
             n_m = counts.get(m)
             if n_m is None:
                 n_m = count_congruent(m, w, l)
                 counts[m] = n_m
-            contrib = w1 * system.weights[d2] * n_m
-            form += contrib if d1 == d2 else 2 * contrib
+            term = s1 * scaled[j] * n_m
+            total += term if i == j else 2 * term
+            if not system.exact:
+                contrib = w1 * weights[d2] * n_m
+                form += contrib if i == j else 2 * contrib
+    exact_form = Fraction(total, scale * scale)
     exact = count_tuples(w, l, threads=threads)
     if system.density is not None and w.h >= 16:
         rho = excess_exponent(w.h)
         rhs = system.density.midpoint * w.h * (1.0 + w.h ** (-1.0 / 3.0 + rho))
     else:
         rhs = math.nan
-    return UpperBoundCertificate(w, l, system.level, form, exact, rhs)
+    return UpperBoundCertificate(w, l, system.level, exact_form if system.exact else form,
+                                 exact_form, exact, rhs)
 
 
 def squarefree_moment(r: int, level: float) -> int:

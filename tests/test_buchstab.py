@@ -55,6 +55,7 @@ def test_decomposition_randomized_reconciliation():
         assert 0 <= report.removed_total <= report.removed_cap
         total_rows = sum(row[2] for row in report.ledger)
         assert total_rows == report.removed_total
+        assert report.ledger_rows == len(report.ledger)
         assert total_rows <= sum(report.per_coord_hits)
 
 
@@ -143,6 +144,14 @@ def test_ledger_matches_the_oracle_random(data):
         mp.setattr(buchstab, "LEDGER_SEGMENT", length)
         report = buchstab_decompose((x, h), offs, cutoff)
     assert report.ledger == _oracle_ledger(x, h, offs, cutoff)
+
+
+def test_ledger_rows_are_counted_without_building_them():
+    report = buchstab_decompose((10**9, 10**4), [0, 2, 6], 5.0)
+    assert report.ledger_rows == 3 * (len(naive_primes(math.isqrt(10**9 + 10**4))) - 2)
+    assert "ledger" not in vars(report)  # the tuple is built on first access only
+    assert len(report.ledger) == report.ledger_rows
+    assert report.ledger is report.ledger
 
 
 def test_ledger_adds_no_window_count(monkeypatch):

@@ -154,6 +154,21 @@ def test_buchstab_work_cap_reject_is_unchanged(capsys):
                    "(2261195 candidate scans > cap 2000000)\n")
 
 
+def test_selberg_output_is_byte_identical_to_the_benchmark_record(capsys):
+    # Every selberg entry of the benchmark's recorded pool, read only: argv
+    # and the stdout recorded for it.
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    with open(path) as fh:
+        certify = json.load(fh)["certify"]
+    entries = [entry for name, pool in certify.items() if name.startswith("selberg")
+               for entry in pool]
+    assert len(entries) == 36
+    for entry in entries:
+        code, out, _ = run_cli(capsys, *entry["argv"])
+        assert code == 0, entry["argv"]
+        assert out == entry["stdout"], entry["argv"]
+
+
 def test_squaremul_command(capsys):
     code, out, _ = run_cli(
         capsys, "squaremul", "--x", "100", "--h", "20", "--d-lo", "5", "--d-hi", "10"

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqfree.arith import residue_class_count_squarefree
+from sqfree import selberg
+from sqfree.arith import as_offsets, residue_class_count_squarefree
 from sqfree.errors import DegenerateTupleError
 from sqfree.selberg import (
     SelbergSystem,
+    UpperBoundCertificate,
     excess_exponent,
     moment_cap,
     normalizing_sum,
@@ -21,7 +24,7 @@ from sqfree.selberg import (
     upper_bound_parameters,
     weight_moment_bounds,
 )
-from sqfree.sieve import count_tuples
+from sqfree.sieve import Window, count_congruent, count_tuples
 
 
 # ------------------------------------------------------ normalizing sums
@@ -204,8 +207,188 @@ def test_float_path_certificate_still_dominates():
     system = optimal_weights(150.0, [0, 1])
     assert not system.exact
     cert = quadratic_form_bound((10**5, 5000), [0, 1], system)
-    assert cert.exact_count <= float(cert.form_value) + 1e-6
+    assert isinstance(cert.form_exact, Fraction)
+    assert cert.exact_count <= cert.form_exact  # exact rational comparison, no slack
     assert cert.certified
+
+
+def test_certified_is_the_exact_comparison():
+    # a form a billionth below the count is not a certificate, whatever its float
+    cert = UpperBoundCertificate(
+        window=Window(0, 10), offsets=as_offsets([0]), level=3.0, form_value=10.0,
+        form_exact=Fraction(10) - Fraction(1, 10**9), exact_count=10, reference_rhs=math.nan,
+    )
+    assert not cert.certified
+    assert cert.exact_count <= cert.form_value
+
+
+def test_form_bound_requires_unit_weight_at_one():
+    system = optimal_weights(10, [0])
+    bad = SelbergSystem(**{**vars(system), "weights": {**system.weights, 1: Fraction(1, 2)}})
+    with pytest.raises(ValueError, match="weight\\(1\\) = 1"):
+        quadratic_form_bound((0, 100), [0], bad)
+    float_system = optimal_weights(150.0, [0])
+    assert float_system.weights[1] == 1.0  # the float path keeps it exactly
+
+
+# --------------------------------------------- support-pruned form
+
+def _unpruned_form(window, offsets, system):
+    """The per-lcm form over every pair of weights, in the float or
+    Fraction arithmetic of the system, and exactly in Fractions."""
+    ds = sorted(system.weights)
+    counts = {}
+    form = Fraction(0) if system.exact else 0.0
+    exact = Fraction(0)
+    for i, d1 in enumerate(ds):
+        w1 = system.weights[d1]
+        for d2 in ds[i:]:
+            m = d1 * d2 // math.gcd(d1, d2)
+            if m not in counts:
+                counts[m] = count_congruent(m, window, offsets)
+            n_m = counts[m]
+            contrib = w1 * system.weights[d2] * n_m
+            form += contrib if d1 == d2 else 2 * contrib
+            term = Fraction(w1) * Fraction(system.weights[d2]) * n_m
+            exact += term if d1 == d2 else 2 * term
+    return form, exact
+
+
+def _assert_matches_unpruned(window, offsets, system):
+    cert = quadratic_form_bound(window, offsets, system)
+    form, exact = _unpruned_form(window, offsets, system)
+    assert type(cert.form_value) is type(form)
+    assert cert.form_value == form  # float: bit-identical; Fraction: equal
+    assert cert.form_exact == exact
+    assert cert.certified == (cert.exact_count <= exact)
+    assert cert.certified
+    return cert
+
+
+def _random_pattern(rng, r):
+    while True:
+        offs = sorted(rng.sample(range(0, 60), r))
+        if all(residue_class_count_squarefree(p, offs) < p * p for p in (2, 3)):
+            return offs
+
+
+def test_pruned_form_matches_the_unpruned_oracle():
+    rng = random.Random(2024)
+    for level, h in [(3.5, 100), (12.0, 10**5), (40.0, 3000), (99.0, 10**4), (100.0, 500),
+                     (101.5, 2000), (150.0, 10**5), (217.3, 300), (300.0, 10**4)]:
+        for r in (1, 2, 3, 4):
+            if level > 200 and r > 2:
+                continue  # the unpruned oracle is slow there; (217.3, r <= 2) and (300, r <= 2) stay
+            offs = _random_pattern(rng, r)
+            x = rng.choice([rng.randrange(0, 10**7), rng.randrange(0, 10**13)])
+            system = optimal_weights(level, offs, prime_cutoff=10**4)
+            _assert_matches_unpruned((x, h), offs, system)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**12),
+    st.integers(min_value=100, max_value=3000),
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=3, unique=True),
+    st.floats(min_value=3.0, max_value=130.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_pruned_form_matches_the_unpruned_oracle_random(x, h, offs, level):
+    offs = sorted(offs)
+    try:
+        system = optimal_weights(level, offs, prime_cutoff=10**4)
+    except DegenerateTupleError:
+        return
+    _assert_matches_unpruned((x, h), offs, system)
+
+
+def _lcms(system):
+    ds = sorted(system.weights)
+    return {d1 * d2 // math.gcd(d1, d2) for i, d1 in enumerate(ds) for d2 in ds[i:]}
+
+
+@pytest.mark.parametrize("window, offs, level", [
+    ((10**6, 5000), [0], 60.0),
+    ((123456789, 2000), [0, 2, 6], 50.0),
+    ((10**12, 800), [0, 1, 4, 9], 120.0),
+])
+def test_support_is_exactly_the_moduli_with_a_count(window, offs, level):
+    system = optimal_weights(level, offs, prime_cutoff=10**4)
+    support = selberg._form_support(Window(*window), as_offsets(offs), math.floor(level))
+    for m in _lcms(system):
+        assert (m in support) == (count_congruent(m, window, offs) > 0), m
+    for m in support:  # closed under divisors
+        assert all(m // p in support for p in range(2, m + 1) if m % p == 0)
+
+
+def test_form_counts_only_support_moduli(monkeypatch):
+    window, offs, level = (987654321, 20000), [0, 2, 8], 150.0
+    system = optimal_weights(level, offs, prime_cutoff=10**4)
+    support = selberg._form_support(Window(*window), as_offsets(offs), 150)
+    asked = []
+
+    def spy(m, *args):
+        asked.append(m)
+        return count_congruent(m, *args)
+
+    monkeypatch.setattr(selberg, "count_congruent", spy)
+    quadratic_form_bound(window, offs, system)
+    assert asked and set(asked) <= support
+    assert len(asked) == len(set(asked))  # memoised per modulus
+    assert len(asked) < len(_lcms(system)) // 5
+
+
+@pytest.mark.parametrize("segment", [1, 7, 48, 49, 50, 1000])
+def test_support_segments_do_not_change_the_form(monkeypatch, segment):
+    window, offs = (10**8 - 37, 3000), [0, 2, 6]
+    system = optimal_weights(150.0, offs, prime_cutoff=10**4)
+    whole = quadratic_form_bound(window, offs, system)
+    monkeypatch.setattr(selberg, "SUPPORT_SEGMENT", segment)
+    cut = quadratic_form_bound(window, offs, system)
+    assert cut.form_value == whole.form_value
+    assert cut.form_exact == whole.form_exact
+
+
+def test_window_longer_than_one_support_segment():
+    h = 2 * selberg.SUPPORT_SEGMENT + 12345
+    system = optimal_weights(40.0, [0, 2], prime_cutoff=10**4)
+    _assert_matches_unpruned((10**10, h), [0, 2], system)
+
+
+@pytest.mark.parametrize("segment", [7, 1000])
+def test_wide_products_are_exact(monkeypatch, segment):
+    # n0 + offset_i is divisible by the square of the i-th prime set, so
+    # D(n0) = a * b * c is about 7.9e24 and would wrap in int64
+    a = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    b = 29 * 31 * 37 * 41 * 43
+    c = 47 * 53 * 59 * 61 * 67
+    n0 = a * a
+    offs = [0, b * b * (n0 // (b * b) + 1) - n0, c * c * (n0 // (c * c) + 1) - n0]
+    assert a * b * c > 2**63
+    window = Window(n0 - 1, 1000)
+    primes = [p for p in range(2, 71) if all(p % q for q in range(2, p))]
+    expected = {math.prod(p for p in primes if any((n + off) % (p * p) == 0 for off in offs))
+                for n in range(window.x + 1, window.end + 1)}
+    monkeypatch.setattr(selberg, "SUPPORT_SEGMENT", segment)
+    products = selberg._window_products(window, as_offsets(offs), primes)
+    assert products == expected
+    assert max(products) == a * b * c
+    system = optimal_weights(70.0, offs, prime_cutoff=10**4)
+    _assert_matches_unpruned(window, offs, system)
+
+
+def test_support_pass_memory_is_bounded():
+    # The 2^16-element int64 buffer is 0.5 MiB and np.unique sorts a copy;
+    # the traced peak was 1.2 MiB over 153 segments.
+    window, offs = Window(10**9, 10**7), as_offsets([0, 2])
+    selberg._form_support(Window(10**9, 10), offs, 100)  # grow the shared prime table first
+    tracemalloc.start()
+    try:
+        support = selberg._form_support(window, offs, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 in support and 2 * 3 * 5 in support
+    assert peak < 4 * 2**20
 
 
 @given(
