@@ -145,14 +145,14 @@ def _resolve_level(args: argparse.Namespace) -> float:
 
 def _excess_stat(q: int, mid: float, h: int):
     if mid <= 0:
-        return None, None
+        return None, None, None
     ratio = q / (mid * h)
     if h >= 16:
         rho = excess_exponent(h)
         stat = max(0.0, ratio - 1.0) * h ** (1.0 / 3.0 - rho)
     else:
         rho, stat = None, None
-    return ratio, (rho, stat)
+    return ratio, rho, stat
 
 
 def run_command(args: argparse.Namespace) -> list[dict]:
@@ -241,8 +241,7 @@ def run_command(args: argparse.Namespace) -> list[dict]:
                 for h in args.h:
                     w = Window(x, h)
                     q = count_tuples(w, offs, threads=args.threads)
-                    ratio, rho_stat = _excess_stat(q, est.midpoint, h)
-                    rho, stat = rho_stat if rho_stat else (None, None)
+                    ratio, rho, stat = _excess_stat(q, est.midpoint, h)
                     rows.append({
                         "x": x, "h": h, "r": offs.r, "offsets": str(offs), "q": q,
                         "density_lower": est.lower, "density_upper": est.upper,

@@ -19,29 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from .arith import as_offsets, primes_up_to, residue_class_counts
 from .density import DEFAULT_PRIME_CUTOFF, EulerEstimate, density_constant
 from .errors import DegenerateTupleError
-from .sieve import (
-    Window,
-    _congruence_classes,
-    _segments,
-    as_window,
-    count_congruent,
-    count_tuples,
-)
+from .sieve import Window, as_window, count_congruent, count_tuples, window_products
 
 Number = Union[Fraction, float]
 
 LEVEL_CAP = 10_000.0
 EXACT_LEVEL_CAP = 100.0
-# Elements per support-pass segment (8 bytes each).  Of 2^12 .. 2^20,
-# 2^16 and above timed within 30% of each other on windows of 1e4 .. 1e7;
-# 2^16 keeps the buffer at 0.5 MiB.
-SUPPORT_SEGMENT = 1 << 16
-_INT64_MAX = (1 << 63) - 1
 
 
 def _floor_ratio(level: float, d: int) -> int:
@@ -272,39 +258,6 @@ class UpperBoundCertificate:
         return self.exact_count <= self.form_exact
 
 
-def _window_products(window: Window, offsets, primes: list[int]) -> set[int]:
-    """Every distinct D(n) over the window: the product of the given primes
-    p with p^2 dividing some n + offset.
-
-    D(n)^2 divides the product of the n + offset, so D fits in int64 unless
-    that product can pass 2^126 (r >= 3).  Then each multiply is checked: a
-    row that would pass 2^63 is set to 0, which stays 0, and is rebuilt
-    with Python ints.
-    """
-    class_lists = [_congruence_classes(offsets, p) for p in primes]
-    checked = math.isqrt(math.prod(window.end + off for off in offsets.offsets)) > _INT64_MAX
-    size = min(SUPPORT_SEGMENT, window.h)
-    buf = np.empty(size, dtype=np.int64)
-    products = set()
-    for base, length in _segments(window.x, window.h, size):
-        d = buf[:length]
-        d.fill(1)
-        for p, (p2, classes) in zip(primes, class_lists):
-            for c in classes:
-                rows = d[(c - base - 1) % p2::p2]
-                if checked:
-                    rows[rows > _INT64_MAX // p] = 0
-                rows *= p
-        products.update(np.unique(d).tolist())
-        if checked and 0 in products:
-            products.discard(0)
-            for k in np.flatnonzero(d == 0).tolist():
-                n = base + 1 + k
-                products.add(math.prod(p for p, (p2, classes) in zip(primes, class_lists)
-                                       if n % p2 in classes))
-    return products
-
-
 def _form_support(window: Window, offsets, top: int) -> set[int]:
     """Every squarefree m <= top^2 dividing D(n) for some n in the window,
     D(n) taken over the primes up to top.  The set is closed under
@@ -312,7 +265,7 @@ def _form_support(window: Window, offsets, top: int) -> set[int]:
     primes = primes_up_to(top).tolist()
     bound = top * top
     support = set()
-    for product in _window_products(window, offsets, primes):
+    for product in window_products(window, offsets, primes):
         divisors = [1]
         for p in primes:
             if product == 1:

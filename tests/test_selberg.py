@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import tracemalloc
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqfree import selberg
-from sqfree.arith import as_offsets, residue_class_count_squarefree
+from sqfree import selberg, sieve
+from sqfree.arith import as_offsets, primes_up_to, residue_class_count_squarefree
 from sqfree.errors import DegenerateTupleError
 from sqfree.selberg import (
     SelbergSystem,
@@ -24,7 +25,7 @@ from sqfree.selberg import (
     upper_bound_parameters,
     weight_moment_bounds,
 )
-from sqfree.sieve import Window, count_congruent, count_tuples
+from sqfree.sieve import Window, count_congruent, count_tuples, window_products
 
 
 # ------------------------------------------------------ normalizing sums
@@ -342,14 +343,14 @@ def test_support_segments_do_not_change_the_form(monkeypatch, segment):
     window, offs = (10**8 - 37, 3000), [0, 2, 6]
     system = optimal_weights(150.0, offs, prime_cutoff=10**4)
     whole = quadratic_form_bound(window, offs, system)
-    monkeypatch.setattr(selberg, "SUPPORT_SEGMENT", segment)
+    monkeypatch.setattr(sieve, "SUPPORT_SEGMENT", segment)
     cut = quadratic_form_bound(window, offs, system)
     assert cut.form_value == whole.form_value
     assert cut.form_exact == whole.form_exact
 
 
 def test_window_longer_than_one_support_segment():
-    h = 2 * selberg.SUPPORT_SEGMENT + 12345
+    h = 2 * sieve.SUPPORT_SEGMENT + 12345
     system = optimal_weights(40.0, [0, 2], prime_cutoff=10**4)
     _assert_matches_unpruned((10**10, h), [0, 2], system)
 
@@ -366,10 +367,11 @@ def test_wide_products_are_exact(monkeypatch, segment):
     assert a * b * c > 2**63
     window = Window(n0 - 1, 1000)
     primes = [p for p in range(2, 71) if all(p % q for q in range(2, p))]
-    expected = {math.prod(p for p in primes if any((n + off) % (p * p) == 0 for off in offs))
-                for n in range(window.x + 1, window.end + 1)}
-    monkeypatch.setattr(selberg, "SUPPORT_SEGMENT", segment)
-    products = selberg._window_products(window, as_offsets(offs), primes)
+    expected = collections.Counter(
+        math.prod(p for p in primes if any((n + off) % (p * p) == 0 for off in offs))
+        for n in range(window.x + 1, window.end + 1))
+    monkeypatch.setattr(sieve, "SUPPORT_SEGMENT", segment)
+    products = window_products(window, as_offsets(offs), primes)
     assert products == expected
     assert max(products) == a * b * c
     system = optimal_weights(70.0, offs, prime_cutoff=10**4)
@@ -389,6 +391,35 @@ def test_support_pass_memory_is_bounded():
         tracemalloc.stop()
     assert 1 in support and 2 * 3 * 5 in support
     assert peak < 4 * 2**20
+
+
+def _assert_products_give_counts(window, offs, top):
+    # The N(m) identity: n counts for m exactly when m divides D(n), so the
+    # multiplicities of the D that m divides add up to count_congruent(m).
+    w, l = Window(*window), as_offsets(offs)
+    products = window_products(w, l, primes_up_to(top).tolist())
+    assert sum(products.values()) == w.h
+    for m in selberg._form_support(w, l, top):
+        assert sum(k for d, k in products.items() if d % m == 0) == count_congruent(m, w, l), m
+
+
+def test_window_products_give_congruent_counts_grid():
+    rng = random.Random(29)
+    for r in (1, 2, 3, 4):
+        for top, h in ((30, 1), (100, 777), (300, 10**5)):
+            offs = sorted(rng.sample(range(0, 60), r))
+            _assert_products_give_counts((rng.randrange(0, 10**12), h), offs, top)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**12),
+    st.integers(min_value=1, max_value=10**5),
+    st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=4, unique=True),
+    st.integers(min_value=2, max_value=300),
+)
+@settings(max_examples=40, deadline=None)
+def test_window_products_give_congruent_counts_random(x, h, offs, top):
+    _assert_products_give_counts((x, h), sorted(offs), top)
 
 
 @given(

@@ -23,8 +23,8 @@ from sqfree.sieve import (
     count_tuples,
     square_multiples,
     verify_congruent_asymptotic,
+    window_products,
     _count_congruent_classes,
-    _count_congruent_scan,
     _congruence_classes,
     _segments,
 )
@@ -505,12 +505,13 @@ def prime_factors(d):
     return out
 
 
-def test_scan_and_class_paths_agree():
+def test_walk_and_class_paths_agree():
     w = Window(10**4, 2000)
     offs = as_offsets([0, 3, 11])
     for d in (2, 6, 10, 15, 30, 42, 70, 105):
         classes = [_congruence_classes(offs, p) for p in prime_factors(d)]
-        assert _count_congruent_scan(w, classes, 1 << 20) == _count_congruent_classes(w, classes)
+        walked = window_products(w, offs, prime_factors(d)).get(d, 0)
+        assert walked == _count_congruent_classes(w, classes)
 
 
 @given(
@@ -520,11 +521,25 @@ def test_scan_and_class_paths_agree():
     st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=4, unique=True),
 )
 @settings(max_examples=120, deadline=None)
-def test_scan_and_class_paths_agree_random(d, x, h, offs):
+def test_walk_and_class_paths_agree_random(d, x, h, offs):
     w = Window(x, h)
     offsets = as_offsets(sorted(offs))
     classes = [_congruence_classes(offsets, p) for p in prime_factors(d)]
-    assert _count_congruent_scan(w, classes, 1 << 20) == _count_congruent_classes(w, classes)
+    walked = window_products(w, offsets, prime_factors(d)).get(d, 0)
+    assert walked == _count_congruent_classes(w, classes)
+
+
+def test_rebuilt_rows_keep_their_multiplicities(monkeypatch):
+    # With the int64 ceiling lowered to 100, every D(n) above about 50 is
+    # rebuilt with Python ints, and such D recur (D = 30 alone on about 3%
+    # of the rows); the counts must equal the plain walk's.
+    window, offs = Window(10**6, 5000), as_offsets([0, 2, 6])
+    primes = primes_up_to(100).tolist()
+    plain = window_products(window, offs, primes)
+    monkeypatch.setattr(sieve, "_INT64_MAX", 100)
+    rebuilt = window_products(window, offs, primes)
+    assert rebuilt == plain
+    assert sum(k for d, k in plain.items() if d > 100) > 100
 
 
 def test_count_congruent_large_modulus_uses_classes():
@@ -542,7 +557,7 @@ def test_count_congruent_large_modulus_uses_classes():
 
 def test_count_congruent_above_class_cap_scans():
     # 4 * 9 * 25 * 30^3 = 24.3M solution classes modulo 30030^2, above the
-    # enumeration cap, with d^2 > 4h: answered by the bounded-memory scan
+    # enumeration cap: answered by the bounded-memory window walk
     d, x, h, offs = 30030, 10**6, 2000, list(range(30))
     ps = prime_factors(d)
     assert math.prod(min(len(offs), p * p) for p in ps) > CLASS_ENUMERATION_CAP
@@ -552,6 +567,27 @@ def test_count_congruent_above_class_cap_scans():
     )
     assert direct == 65
     assert count_congruent(d, (x, h), offs) == direct
+
+
+@pytest.mark.parametrize("r, enumerated, peak_mib", [(13, True, 64), (14, False, 1), (20, False, 1)])
+def test_count_congruent_memory_is_bounded_at_the_class_cap(r, enumerated, peak_mib):
+    # Enumeration holds one Python int per class: 13 offsets give 1,028,196
+    # classes modulo 30030^2, just under the cap (traced peak 42.5 MiB); 14
+    # offsets (1,382,976) and 20 (5.76M) go past it and are walked.
+    d, x, h, offs = 30030, 10**6, 2000, list(range(r))
+    ps = prime_factors(d)
+    assert (residue_class_count_squarefree(d, offs) <= CLASS_ENUMERATION_CAP) == enumerated
+    tracemalloc.start()
+    try:
+        got = count_congruent(d, (x, h), offs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mib * 2**20
+    assert got == sum(
+        1 for n in range(x + 1, x + h + 1)
+        if all(any((n + o) % (p * p) == 0 for o in offs) for p in ps)
+    )
 
 
 # ------------------------------------------- congruent count main term
