@@ -115,26 +115,24 @@ _table: tuple[int, np.ndarray] = (1, _sieve_primes(1))
 _table_lock = threading.Lock()
 
 
-def primes_up_to(bound: int, *, cap: int = PRIME_SIEVE_CAP) -> np.ndarray:
+def primes_up_to(bound: int) -> np.ndarray:
     """Exact primes in [2, bound], ascending: a read-only int64 prefix view of
     the one shared prime table."""
     global _table
     bound = int(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if bound > cap:
+    if bound > PRIME_SIEVE_CAP:
         raise MemoryBudgetError(
-            f"prime sieve bound {bound} exceeds the configured cap {cap}"
+            f"prime sieve bound {bound} exceeds the configured cap {PRIME_SIEVE_CAP}"
         )
     table_bound, primes = _table
     if bound > table_bound:
         with _table_lock:
             table_bound, primes = _table
             if bound > table_bound:
-                # Sieve to the next power of two so nearby requests reuse it.
-                table_bound = 1 << (bound - 1).bit_length()
-                if table_bound > cap:
-                    table_bound = bound
+                # Sieve to the next power of two, at most the cap, so nearby requests reuse it.
+                table_bound = min(1 << (bound - 1).bit_length(), PRIME_SIEVE_CAP)
                 primes = _sieve_primes(table_bound)
                 _table = (table_bound, primes)
     return primes[:int(np.searchsorted(primes, bound, side="right"))]
@@ -268,14 +266,14 @@ def residue_class_count_squarefree(d: int, offsets) -> int:
     return result
 
 
-def mobius_up_to(n: int, *, cap: int = MOBIUS_SIEVE_CAP) -> np.ndarray:
+def mobius_up_to(n: int) -> np.ndarray:
     """Mobius function on [0, n] as an int8 array (index 0 is 0)."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
+    if n > MOBIUS_SIEVE_CAP:
         raise MemoryBudgetError(
-            f"Mobius sieve bound {n} exceeds the configured cap {cap}"
+            f"Mobius sieve bound {n} exceeds the configured cap {MOBIUS_SIEVE_CAP}"
         )
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0

@@ -9,8 +9,8 @@ where the base count constrains every coordinate only below the chosen
 cutoff and row (coord, q) counts the n whose coordinate is divisible by q^2
 with q the smallest obstructing prime there, earlier coordinates already
 reduced and later ones still fully squarefree.  Everything here is exact.
-LEDGER_WORK_CAP counts a candidate scan for at least every prime up to
-sqrt(window end + offset) and coordinate, so it rejects even tiny windows
+LEDGER_ROW_CAP bounds the rows, one per prime from the cutoff to sqrt(window
+end + offset) and coordinate, before any count runs; even tiny windows stop
 past about 1.05e15 (r = 1), 2.4e14 (r = 2), 1.0e14 (r = 3) and 5.4e13
 (r = 4).  The module also hosts the square-multiple count used to study how
 many moduli obstruct a short window.
@@ -27,11 +27,11 @@ import numpy as np
 from .arith import _icbrt, as_offsets, primes_up_to, residue_class_counts
 from .sieve import Window, _segments, as_window, count_tuples, full_level, square_multiples
 
-# Total candidate scans allowed per decomposition.
-LEDGER_WORK_CAP = 2_000_000
-# Elements per ledger segment (4 bytes each per coordinate).  2^17 .. 2^20
+# Ledger rows (one int64 tally each) allowed per decomposition.
+LEDGER_ROW_CAP = 2_000_000
+# int32 marks per ledger segment, all coordinates together.  2^17 .. 2^20 per coordinate
 # timed alike from x = 1e6 to 1e14; 2^15 was up to 2.7x slower on long windows.
-LEDGER_SEGMENT = 1 << 18
+LEDGER_MARKS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,12 @@ def base_main_term(offsets, cutoff: float) -> MainTermEstimate:
         raise ValueError("cutoff must be at least 2")
     bound = math.ceil(cutoff) - 1  # primes strictly below the cutoff
     ps = primes_up_to(bound)
+    us = residue_class_counts(ps, l)
     product = 1.0
-    cap = 1
-    for p, u in zip(ps.tolist(), residue_class_counts(ps, l)):
+    for p, u in zip(ps.tolist(), us):
         product *= 1.0 - u / (p * p)  # a degenerate factor reports as 0
-        cap *= 1 + u
+    # u(p) = r for every p^2 > span: those factors are one power.
+    cap = math.prod(1 + u for u in us if u != l.r) * (1 + l.r) ** us.count(l.r)
     try:
         crude = math.exp(cutoff * math.log1p(l.r))
     except OverflowError:
@@ -132,8 +133,7 @@ class BuchstabReport:
                      for q, removed in zip(qs.tolist(), removed_counts.tolist()))
 
 
-def buchstab_decompose(window, offsets, cutoff: float, *,
-                       work_cap: int = LEDGER_WORK_CAP) -> BuchstabReport:
+def buchstab_decompose(window, offsets, cutoff: float) -> BuchstabReport:
     """Build the exact removal ledger; reconciliation must come out zero.
 
     Rows (coord, q) run over primes q from the cutoff up to the full level
@@ -147,30 +147,25 @@ def buchstab_decompose(window, offsets, cutoff: float, *,
     top = full_level(w, l)
     if not 2.0 <= cutoff <= top:
         raise ValueError("cutoff must lie in [2, 2*sqrt(window end + largest offset)]")
+    primes = primes_up_to(math.isqrt(w.end + l.offsets[-1]))
+    lo = int(np.searchsorted(primes, cutoff))  # first prime not below the cutoff
+    tops = [int(np.searchsorted(primes, math.isqrt(w.end + off), side="right"))
+            for off in l.offsets]
+    ledger_rows = sum(max(0, top_i - lo) for top_i in tops)
+    if ledger_rows > LEDGER_ROW_CAP:
+        raise ValueError(f"window too large for an exact ledger "
+                         f"({ledger_rows} rows > cap {LEDGER_ROW_CAP})")
     base_count = count_tuples(w, l, z=cutoff)
     exact = count_tuples(w, l)
     main = base_main_term(l, cutoff)
 
-    primes = primes_up_to(math.isqrt(w.end + l.offsets[-1]))
     squares = primes * primes
-    lo = int(np.searchsorted(primes, cutoff))  # first prime not below the cutoff
-    tops = [int(np.searchsorted(primes, math.isqrt(w.end + off), side="right"))
-            for off in l.offsets]
-
-    # candidate-work estimate before scanning: h // q^2 + 1 per row
-    scans = w.h // squares[lo:] + 1
-    work = sum(int(scans[:top_i - lo].sum()) for top_i in tops if top_i > lo)
-    if work > work_cap:
-        raise ValueError(
-            f"window too large for an exact ledger ({work} candidate scans > cap {work_cap})"
-        )
-
     sentinel = primes.size
-    size = min(LEDGER_SEGMENT, w.h)
+    size = min(max(1, LEDGER_MARKS // l.r), w.h)
     split = int(np.searchsorted(primes, math.isqrt(size - 1), side="right"))
     strided = squares[:split].tolist()
     least = np.empty((l.r, size), dtype=np.int32)
-    tallies = np.zeros((l.r, sentinel + 1), dtype=np.int64)
+    tallies = [np.zeros(max(0, top_i - lo), dtype=np.int64) for top_i in tops]
     for base, length in _segments(w.x, w.h, size):
         marks = least[:, :length]
         marks.fill(sentinel)
@@ -185,16 +180,19 @@ def buchstab_decompose(window, offsets, cutoff: float, *,
             # Strided primes lie below the placed ones; the smallest writes last.
             for t in range(min(split, top_i) - 1, -1, -1):
                 marks[i, (-m1) % strided[t]::strided[t]] = t
-        free = marks == sentinel
+        free = np.ones((l.r + 1, length), dtype=bool)  # free[i]: coordinates i.. squarefree
+        for i in range(l.r - 1, -1, -1):
+            np.logical_and(free[i + 1], marks[i] == sentinel, out=free[i])
         reduced = np.ones(length, dtype=bool)  # no earlier coordinate hit below the cutoff
-        for i in range(l.r):
+        for i, tally in enumerate(tallies):
             row = marks[i] >= lo  # in a row, or squarefree
-            kept = marks[i][reduced & row & ~free[i] & free[i + 1:].all(axis=0)]
-            tallies[i] += np.bincount(kept, minlength=sentinel + 1)
+            kept = marks[i][reduced & row & ~free[i] & free[i + 1]]
+            tally += np.bincount(kept - lo, minlength=tally.size)
             reduced &= row
 
-    tallies.flags.writeable = False
-    rows = tuple((primes[lo:top_i], tallies[i, lo:top_i]) for i, top_i in enumerate(tops))
+    for tally in tallies:
+        tally.flags.writeable = False
+    rows = tuple((primes[lo:top_i], tally) for top_i, tally in zip(tops, tallies))
     removed_total = sum(int(removed.sum()) for _, removed in rows)
 
     per_coord = tuple(
@@ -209,7 +207,7 @@ def buchstab_decompose(window, offsets, cutoff: float, *,
         base_main=w.h * main.density_product,
         base_error=abs(base_count - w.h * main.density_product),
         divisor_cap=main.divisor_cap,
-        ledger_rows=sum(qs.size for qs, _ in rows),
+        ledger_rows=ledger_rows,
         removed_total=removed_total,
         per_coord_hits=per_coord,
         removed_cap=removed_cap,

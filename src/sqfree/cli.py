@@ -258,8 +258,6 @@ def format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, Fraction):
         value = float(value)
     if isinstance(value, float):
@@ -278,13 +276,19 @@ def _json_value(value):
 
 
 def render(rows: list[dict], columns: list[str], fmt: str) -> str:
-    if fmt == "json":
-        payload = [{c: _json_value(row.get(c)) for c in columns} for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+    # Int cells render exactly, past the interpreter's 4300-digit default too.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            payload = [{c: _json_value(row.get(c)) for c in columns} for row in rows]
+            return json.dumps(payload, indent=2) + "\n"
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(format_cell(row.get(c)) for c in columns))
+        return "\n".join(lines) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def emit(rows: list[dict], columns: list[str], fmt: str, out=None) -> None:

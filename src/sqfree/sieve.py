@@ -213,8 +213,7 @@ def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> in
     return int(np.count_nonzero(alive))
 
 
-def count_tuples(window, offsets, z=None, *, threads: int = 1,
-                 segment_size: int = SEGMENT_SIZE) -> int:
+def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     """Count n in the window with no prime p < z_i whose square divides
     n + offset_i, for every coordinate i.
 
@@ -222,7 +221,7 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
     per-coordinate levels; the default level 2*sqrt(window end + largest
     offset) turns the test into full squarefreeness of every shifted value.
 
-    The window is cut into segments of ``segment_size``.  Each worker fills
+    The window is cut into segments of SEGMENT_SIZE.  Each worker fills
     one reused buffer per segment from a pre-sieve tile for 4, 9, 25 and 49,
     strides the other prime squares below the buffer length, places each
     larger square up to four times the cube root of the window end with one
@@ -246,7 +245,7 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1,
         # Only m < level with m^2 <= window end + offset matter.
         tops.append(min(math.isqrt(w.end + off), math.ceil(level) - 1))
     bound = _cofactor_bound(w.end + l.offsets[-1])
-    size = min(int(segment_size), w.h)
+    size = min(SEGMENT_SIZE, w.h)
     plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound, size)
     segments = _segments(w.x, w.h, size)
     lock = threading.Lock()

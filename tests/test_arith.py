@@ -236,9 +236,10 @@ def test_a_late_small_sieve_never_replaces_a_larger_table(monkeypatch):
     assert arith._table[0] == 1 << 16
 
 
-def test_primes_up_to_cap():
+def test_primes_up_to_cap(monkeypatch):
+    monkeypatch.setattr(arith, "PRIME_SIEVE_CAP", 10**5)
     with pytest.raises(MemoryBudgetError):
-        primes_up_to(10**6, cap=10**5)
+        primes_up_to(10**6)
 
 
 def test_is_prime_agrees_with_table():
@@ -293,6 +294,7 @@ def test_mobius_matches_naive():
         assert mu[k] == naive_mu(k)
 
 
-def test_mobius_cap():
+def test_mobius_cap(monkeypatch):
+    monkeypatch.setattr(arith, "MOBIUS_SIEVE_CAP", 10**5)
     with pytest.raises(MemoryBudgetError):
-        mobius_up_to(10**6, cap=10**5)
+        mobius_up_to(10**6)

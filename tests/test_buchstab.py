@@ -19,7 +19,7 @@ from sqfree.buchstab import (
     count_square_multiples,
 )
 from sqfree import buchstab, sieve
-from sqfree.arith import _icbrt
+from sqfree.arith import _icbrt, primes_up_to
 from sqfree.sieve import count_tuples
 
 from conftest import naive_is_squarefree, naive_primes
@@ -40,6 +40,10 @@ def test_decomposition_examples_reconcile():
     report = buchstab_decompose((10**4, 1000), [0, 2], 5.0)
     assert report.reconciliation == 0
     assert report.removed_total <= report.removed_cap
+    # 363 rows, each over a window far longer than q^2
+    report = buchstab_decompose((10**6, 5 * 10**6), [0], 2.0)
+    assert report.ledger_rows == 363
+    assert report.reconciliation == 0
 
 
 def test_decomposition_randomized_reconciliation():
@@ -101,9 +105,11 @@ def test_ledger_rows_are_exact():
 @pytest.mark.parametrize("length", [1, 7, 120, 121, 122, 168, 169, 170])
 def test_ledger_segment_edges_match_the_oracle(monkeypatch, length):
     # 11^2 and 13^2 sit one below, at and one above the segment length, and
-    # no window is a whole number of segments.
-    monkeypatch.setattr(buchstab, "LEDGER_SEGMENT", length)
-    for (x, h), offs, cutoff in [((5000, 1000), (0, 2), 5.5), ((14_000, 611), (0, 1, 4), 3.0)]:
+    # no window is a whole number of segments.  The marks are shared, so a
+    # segment holds LEDGER_MARKS // r elements.
+    for (x, h), offs, cutoff in [((5000, 1000), (0, 2), 5.5), ((14_000, 611), (0, 1, 4), 3.0),
+                                 ((9000, 400), (0, 1, 3, 4, 6), 4.0)]:
+        monkeypatch.setattr(buchstab, "LEDGER_MARKS", length * len(offs))
         report = buchstab_decompose((x, h), offs, cutoff)
         assert report.ledger == _oracle_ledger(x, h, offs, cutoff), length
         assert report.reconciliation == 0
@@ -112,7 +118,7 @@ def test_ledger_segment_edges_match_the_oracle(monkeypatch, length):
 def test_two_placed_squares_on_one_element_go_to_the_smaller_prime(monkeypatch):
     # At length 5 both 3^2 and 5^2 are placed, and both divide 225, the last
     # element of the window (220, 225] and its only odd-square hit.
-    monkeypatch.setattr(buchstab, "LEDGER_SEGMENT", 5)
+    monkeypatch.setattr(buchstab, "LEDGER_MARKS", 5)
     report = buchstab_decompose((220, 5), [0], 3.0)
     rows = {q: removed for _, q, removed in report.ledger}
     assert rows[3] == 1 and rows[5] == 0
@@ -139,9 +145,9 @@ def test_ledger_matches_the_oracle_random(data):
     offs = tuple(sorted(data.draw(st.sets(st.integers(0, 60), min_size=1, max_size=4))))
     top = 2.0 * math.sqrt(x + h + offs[-1])
     cutoff = data.draw(st.floats(min_value=2.0, max_value=min(top, 40.0)))
-    length = data.draw(st.sampled_from([1, 5, 9, 48, 49, 50, buchstab.LEDGER_SEGMENT]))
+    length = data.draw(st.sampled_from([1, 5, 9, 48, 49, 50, 1 << 18]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(buchstab, "LEDGER_SEGMENT", length)
+        mp.setattr(buchstab, "LEDGER_MARKS", length * len(offs))
         report = buchstab_decompose((x, h), offs, cutoff)
     assert report.ledger == _oracle_ledger(x, h, offs, cutoff)
 
@@ -170,18 +176,27 @@ def test_ledger_adds_no_window_count(monkeypatch):
 
 
 def test_ledger_memory_is_bounded():
-    # Four coordinates of 2^18 int32 marks are 4 MiB and their squarefree
-    # flags 1 MiB; the traced peak was 6.55 MiB.
-    args = ((10**6, 4 * 10**6), [0, 2, 6, 8], 10.0)
-    buchstab_decompose((10**6, 10), [0], 2.0)  # grow the shared prime table first
-    tracemalloc.start()
-    try:
-        report = buchstab_decompose(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.reconciliation == 0
-    assert peak < 8 * 2**20
+    for window, offs, cutoff, bound in [
+        # 2^20 int32 marks shared by the coordinates are 4 MiB and their
+        # squarefree flags 1.25 MiB; the traced peak was 7.0 MiB.
+        ((10**6, 4 * 10**6), [0, 2, 6, 8], 10.0, 8),
+        # 40 coordinates with primes to 1e7 but 2,120 rows: the tallies cover
+        # the rows only.  The peak was 31 MiB, nearly all of it the main term
+        # over the primes below the cutoff.
+        ((10**14, 1000), list(range(0, 160, 4)), 9_999_000, 48),
+        # 200 coordinates still share 2^20 marks; the peak was 6.1 MiB.
+        ((1, 2**18), list(range(200)), 500, 16),
+    ]:
+        x, h = window
+        primes_up_to(math.isqrt(x + h + offs[-1]))  # grow the shared prime table first
+        tracemalloc.start()
+        try:
+            report = buchstab_decompose(window, offs, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.reconciliation == 0
+        assert peak < bound * 2**20, (window, peak)
 
 
 def test_cutoff_validation():
@@ -191,9 +206,16 @@ def test_cutoff_validation():
         buchstab_decompose((100, 10), [0], 10**6)
 
 
-def test_work_cap():
-    with pytest.raises(ValueError, match="exact ledger"):
-        buchstab_decompose((10**6, 10**3), [0], 2.0, work_cap=10)
+def test_work_cap(monkeypatch):
+    # 168 rows against a cap of 10, refused before either count or the main
+    # term runs.
+    calls = []
+    monkeypatch.setattr(buchstab, "LEDGER_ROW_CAP", 10)
+    monkeypatch.setattr(buchstab, "count_tuples", lambda *a, **k: calls.append("count"))
+    monkeypatch.setattr(buchstab, "base_main_term", lambda *a, **k: calls.append("main"))
+    with pytest.raises(ValueError, match=r"exact ledger \(168 rows > cap 10\)"):
+        buchstab_decompose((10**6, 10**3), [0], 2.0)
+    assert calls == []
 
 
 # ------------------------------------------------------------ main term
@@ -209,6 +231,17 @@ def test_base_main_term_single_prime():
     assert est.density_product == pytest.approx(0.75)
     assert est.divisor_cap == 2
     assert est.crude_cap == pytest.approx(2.0**3)
+
+
+def test_divisor_cap_is_the_product_over_every_prime_below_the_cutoff():
+    rng = random.Random(5)
+    for _ in range(300):
+        r = rng.randrange(1, 7)
+        offs = sorted(rng.sample(range(0, rng.choice([r, 50, 5000])), r))
+        cutoff = rng.uniform(2.0, 300.0)
+        cap = math.prod(1 + len({off % (p * p) for off in offs})
+                        for p in naive_primes(math.ceil(cutoff) - 1))
+        assert base_main_term(offs, cutoff).divisor_cap == cap
 
 
 def test_base_main_term_degenerate_reports_zero():

@@ -10,7 +10,8 @@ import pytest
 
 from sqfree.cli import COLUMNS, build_parser, main, run_command
 from sqfree.sieve import SEGMENT_SIZE, count_tuples
-from sqfree.buchstab import SquareMultipleQuery, count_square_multiples
+from sqfree import buchstab
+from sqfree.buchstab import SquareMultipleQuery, base_main_term, count_square_multiples
 
 
 def run_cli(capsys, *argv):
@@ -143,15 +144,39 @@ def test_buchstab_output_is_byte_identical_to_the_record(capsys, argv, csv_row, 
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == json_digest
 
 
-def test_buchstab_work_cap_reject_is_unchanged(capsys):
-    code, out, err = run_cli(capsys, "buchstab", "--x", "1000000", "--h", "5000000",
-                             "--offsets", "0", "--lambda0", "2")
+def test_buchstab_work_cap_reject_is_unchanged(capsys, monkeypatch):
+    # 2,126,148 rows: primes from 5 to sqrt(1.2e15 + 10), refused before
+    # either count or the main term runs.
+    calls = []
+    monkeypatch.setattr(buchstab, "count_tuples", lambda *a, **k: calls.append("count"))
+    monkeypatch.setattr(buchstab, "base_main_term", lambda *a, **k: calls.append("main"))
+    code, out, err = run_cli(capsys, "buchstab", "--x", "1200000000000000", "--h", "10",
+                             "--offsets", "0", "--lambda0", "5")
     assert code == 2
     assert out == ""
-    assert err == ("note: largest offset or window length exceeds the window start; "
-                   "results are exact but outside the certified asymptotic regime\n"
-                   "error: window too large for an exact ledger "
-                   "(2261195 candidate scans > cap 2000000)\n")
+    assert err == "error: window too large for an exact ledger (2126148 rows > cap 2000000)\n"
+    assert calls == []
+
+
+def test_buchstab_renders_a_divisor_cap_past_the_int_digit_limit(capsys):
+    # 2^pi(190000) has more than 4300 digits, the interpreter's default limit
+    # for int-to-str conversion; the limit is lifted while rendering only.
+    argv = ["buchstab", "--x", "10000000000", "--h", "1000", "--offsets", "0",
+            "--lambda0", "190000"]
+    cap = base_main_term([0], 190000.0).divisor_cap
+    limit = sys.get_int_max_str_digits()
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(cap)) > 4300
+        assert int(parse_csv(csv_out)[0]["divisor_cap"]) == cap
+        assert json.loads(json_out)[0]["divisor_cap"] == cap
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_selberg_output_is_byte_identical_to_the_benchmark_record(capsys):

@@ -157,32 +157,35 @@ def test_count_tuples_window_additivity(x, h1, h2):
     assert total == count_tuples((x, h1), offs) + count_tuples((x + h1, h2), offs)
 
 
-def test_count_tuples_segmentation_invariant():
+def test_count_tuples_segmentation_invariant(monkeypatch):
     w = (10**6, 5000)
     offs = [0, 1, 7]
     whole = count_tuples(w, offs)
     for segment in (64, 997, 4096):
-        assert count_tuples(w, offs, segment_size=segment) == whole
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment)
+        assert count_tuples(w, offs) == whole
 
 
-def test_count_tuples_thread_independence():
+def test_count_tuples_thread_independence(monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 16)
     w = (10**7, 300_000)
     offs = [0, 2]
-    base = count_tuples(w, offs, segment_size=1 << 16)
+    base = count_tuples(w, offs)
     for threads in (2, 4):
-        assert count_tuples(w, offs, threads=threads, segment_size=1 << 16) == base
+        assert count_tuples(w, offs, threads=threads) == base
 
 
-def test_workers_share_segments_without_loss_under_contention():
+def test_workers_share_segments_without_loss_under_contention(monkeypatch):
     # Eight workers on two cores pull 3125 segments from one generator with
     # a very short switch interval: a lost or repeated segment changes the sum.
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 64)
     w, offs = (10**6, 200_000), [0, 1, 5]
-    base = count_tuples(w, offs, segment_size=64)
+    base = count_tuples(w, offs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         start = time.perf_counter()
-        assert count_tuples(w, offs, threads=8, segment_size=64) == base
+        assert count_tuples(w, offs, threads=8) == base
         assert time.perf_counter() - start < 60
     finally:
         sys.setswitchinterval(interval)
@@ -230,11 +233,12 @@ _KERNEL_CASES = [
 
 @pytest.mark.parametrize("segment_size", [1, 64, 997, 44099, 44100, 44101, 1 << 16])
 @pytest.mark.parametrize("x,h,offsets,levels", _KERNEL_CASES)
-def test_kernel_matches_bruteforce(segment_size, x, h, offsets, levels):
+def test_kernel_matches_bruteforce(monkeypatch, segment_size, x, h, offsets, levels):
     if segment_size == 1 and h > 5000:
         h = 5000  # one segment per element: keep the Python loop short
     expected = _oracle(x, h, offsets, levels)
-    assert count_tuples((x, h), offsets, z=levels, segment_size=segment_size) == expected
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+    assert count_tuples((x, h), offsets, z=levels) == expected
 
 
 @given(
@@ -248,7 +252,8 @@ def test_kernel_matches_bruteforce(segment_size, x, h, offsets, levels):
 def test_kernel_matches_bruteforce_random(x, h, offsets, segment_size):
     offsets = sorted(offsets)
     expected = naive_count_tuples(x, h, offsets)
-    assert count_tuples((x, h), offsets, segment_size=segment_size) == expected
+    with mock.patch.object(sieve, "SEGMENT_SIZE", segment_size):
+        assert count_tuples((x, h), offsets) == expected
 
 
 def test_kernel_spans_several_segments_against_prefix_difference():
@@ -334,30 +339,33 @@ _SPLIT_WINDOWS = [
     10_200, 10_201, 10_202,  # 101^2
 ])
 @pytest.mark.parametrize("x,h,offsets", _SPLIT_WINDOWS)
-def test_placed_squares_at_the_split_match_bruteforce(segment_size, x, h, offsets):
+def test_placed_squares_at_the_split_match_bruteforce(monkeypatch, segment_size, x, h, offsets):
     expected = _oracle(x, h, offsets)
-    assert count_tuples((x, h), offsets, segment_size=segment_size) == expected
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+    assert count_tuples((x, h), offsets) == expected
 
 
 @pytest.mark.parametrize("p", [11, 13, 101])
-def test_a_square_one_below_the_buffer_length_hits_twice(p):
+def test_a_square_one_below_the_buffer_length_hits_twice(monkeypatch, p):
     # Buffer length p^2 + 1 with the first segment starting on k*p^2: p must
     # be strided, since it strikes positions 0 and p^2 of that segment.
     p2 = p * p
     k = next(k for k in range(10**6 // p2, 10**6) if naive_is_squarefree(k + 1))
     x, h = k * p2 - 1, 3 * (p2 + 1) + 5
-    assert count_tuples((x, h), [0], segment_size=p2 + 1) == _oracle(x, h, (0,))
-    assert count_tuples((x, h), [0, 2], segment_size=p2 + 1) == _oracle(x, h, (0, 2))
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", p2 + 1)
+    assert count_tuples((x, h), [0]) == _oracle(x, h, (0,))
+    assert count_tuples((x, h), [0, 2]) == _oracle(x, h, (0, 2))
 
 
 @pytest.mark.parametrize("segment_size", [121, 122, 10_201, 10_202])
-def test_coordinate_tops_below_inside_and_above_the_placed_range(segment_size):
+def test_coordinate_tops_below_inside_and_above_the_placed_range(monkeypatch, segment_size):
     # Tops 8 (tile only), 11 (strides only), 200 (placed, no cofactor pass)
     # and isqrt(end) = 1011 (placed up to 397, cofactors above 400).
     x, h, offsets = 10**6, 24_000, (0, 2, 6, 8)
     levels = (9.0, 12.0, 200.5, 1100.0)
     expected = _oracle(x, h, offsets, levels)
-    assert count_tuples((x, h), offsets, z=levels, segment_size=segment_size) == expected
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+    assert count_tuples((x, h), offsets, z=levels) == expected
 
 
 @pytest.mark.parametrize("bound", [5, 11, 13, 30, 150])
@@ -369,10 +377,9 @@ def test_tile_strides_placement_and_cofactors_overlap(monkeypatch, bound):
     x, h, offsets = 10**6, 24_000, (0, 2, 6, 8)
     levels = (9.0, 12.0, 200.5, 1100.0)
     for segment_size in (122, 10_201):
-        assert count_tuples((x, h), offsets, z=levels,
-                            segment_size=segment_size) == _oracle(x, h, offsets, levels)
-        assert count_tuples((x, h), offsets[:2],
-                            segment_size=segment_size) == _oracle(x, h, offsets[:2])
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+        assert count_tuples((x, h), offsets, z=levels) == _oracle(x, h, offsets, levels)
+        assert count_tuples((x, h), offsets[:2]) == _oracle(x, h, offsets[:2])
 
 
 _SPLIT_SIZES = sorted({p * p + d for p in (11, 13, 17, 23, 31, 43) for d in (-1, 0, 1)})
@@ -392,8 +399,9 @@ def test_split_matches_trial_division_random(x, h, offsets, levels, segment_size
     levels = levels[:len(offsets)]
     expected = _levelled_count(x, h, offsets, levels, naive_primes(1100))
     with mock.patch.object(sieve, "_cofactor_bound",
-                           sieve._cofactor_bound if bound is None else lambda end: bound):
-        got = count_tuples((x, h), offsets, z=levels, segment_size=segment_size)
+                           sieve._cofactor_bound if bound is None else lambda end: bound), \
+            mock.patch.object(sieve, "SEGMENT_SIZE", segment_size):
+        got = count_tuples((x, h), offsets, z=levels)
     assert got == expected
 
 
@@ -413,7 +421,8 @@ def test_cofactor_pass_with_a_low_bound_matches_trial_division(monkeypatch, forc
         levels = [rng.uniform(2.0, 400.0) for _ in range(r)]
         expected = _levelled_count(x, h, offs, levels, oracle_primes_2000)
         for segment_size in (h, 37):
-            assert count_tuples((x, h), offs, z=levels, segment_size=segment_size) == expected
+            with mock.patch.object(sieve, "SEGMENT_SIZE", segment_size):
+                assert count_tuples((x, h), offs, z=levels) == expected
         assert count_tuples((x, h), offs) == naive_count_tuples(x, h, offs)
 
 
