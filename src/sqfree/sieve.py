@@ -29,9 +29,13 @@ from .arith import (
 # Elements per segment, and the length of each worker's reused buffer.  Of
 # the sizes 2^18 .. 2^26 measured, 2^24 gave the fastest wide windows.
 SEGMENT_SIZE = 1 << 24
-# Pre-sieve period: every p^2 with p in {2, 3, 5, 7} divides it.
-PRESIEVE_PERIOD = 4 * 9 * 25 * 49
-_PRESIEVE_PRIMES = (2, 3, 5, 7)
+# Pre-sieve groups, one tile each; a tile's period is the product of its
+# group's prime squares (44100 and 20449).  The strides start at 17.
+PRESIEVE_GROUPS = ((2, 3, 5, 7), (11, 13))
+PRESIEVE_PERIODS = tuple(math.prod(p * p for p in group) for group in PRESIEVE_GROUPS)
+# Elements per pre-sieve block: a segment is filled block by block with one
+# logical_and of the two tiles.  2^17 blocks slowed 1e6 windows; 2^15 did not.
+PRESIEVE_BLOCK = 1 << 15
 # Most worker threads count_tuples accepts.
 MAX_THREADS = 64
 
@@ -151,8 +155,10 @@ def _cofactor_bound(end: int) -> int:
 class _Plan:
     """Per-call tables the segment kernel reads; shared by every worker."""
 
-    tile: np.ndarray  # two periods of flags: False where some p <= 7 has p^2 | n + offset
-    strided: tuple    # (offset, [p^2, ...]) for the primes from 11 with p^2 < buffer length
+    tiles: tuple      # per PRESIEVE_GROUPS entry, period + block read-only flags: False
+                      # where some p of the group, p <= top, has p^2 | n + offset
+    block: int        # elements per pre-sieve block
+    strided: tuple    # (offset, [p^2, ...]) for the primes from 17 with p^2 < buffer length
     placed: tuple     # (offset, p^2 array) for the larger primes up to min(top, bound)
     cofactor: tuple   # (offset, top) for coordinates whose squares m^2 go past the bound
     bound: int        # the cofactor bound
@@ -160,19 +166,24 @@ class _Plan:
 
 def _plan(offsets, tops, primes: np.ndarray, bound: int, size: int) -> _Plan:
     # ``primes`` runs to min(max(tops), bound); each coordinate takes the
-    # prefix up to its own top, so the first four are 2, 3, 5, 7.  A prime
-    # with p^2 >= size hits a segment of at most size elements at most once,
-    # so one read-only array of those squares serves every coordinate.
-    pre = len(_PRESIEVE_PRIMES)
+    # prefix up to its own top, so the first six are 2, 3, 5, 7, 11, 13.  A
+    # prime with p^2 >= size hits a segment of at most size elements at most
+    # once, so one read-only array of those squares serves every coordinate.
+    pre = sum(len(group) for group in PRESIEVE_GROUPS)
     split = max(pre, int(np.searchsorted(primes, math.isqrt(size - 1), side="right")))
     squares = primes[split:] * primes[split:]
     squares.flags.writeable = False
-    tile = np.ones(PRESIEVE_PERIOD, dtype=bool)
+    # A period and a block hold one block from any phase; every p^2 of a
+    # group divides its tile's period, so the marks repeat with it.
+    block = min(PRESIEVE_BLOCK, size)
+    tiles = tuple(np.ones(period + block, dtype=bool) for period in PRESIEVE_PERIODS)
     strided, placed, cofactor = [], [], []
     for off, top in zip(offsets, tops):
+        for group, tile in zip(PRESIEVE_GROUPS, tiles):
+            for p in group:
+                if p <= min(top, bound):
+                    tile[(-off) % (p * p)::p * p] = False
         count = int(np.searchsorted(primes, top, side="right"))
-        for p in primes[:min(count, pre)].tolist():
-            tile[(-off) % (p * p)::p * p] = False
         small = primes[pre:min(count, split)].tolist()
         if small:
             strided.append((off, [p * p for p in small]))
@@ -180,22 +191,22 @@ def _plan(offsets, tops, primes: np.ndarray, bound: int, size: int) -> _Plan:
             placed.append((off, squares[:count - split]))
         if top > bound:
             cofactor.append((off, top))
-    # Two periods hold one full period from any phase.
-    return _Plan(np.tile(tile, 2), tuple(strided), tuple(placed), tuple(cofactor), bound)
+    for tile in tiles:
+        tile.flags.writeable = False
+    return _Plan(tiles, block, tuple(strided), tuple(placed), tuple(cofactor), bound)
 
 
 def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> int:
     """Survivors among n in (base, base+length], marked in ``alive``."""
     alive = alive[:length]
-    # One period copied at the segment's phase, then doubled in place: any
-    # shift by a multiple of the period leaves the pattern unchanged.
-    phase = (base + 1) % PRESIEVE_PERIOD
-    done = min(PRESIEVE_PERIOD, length)
-    alive[:done] = plan.tile[phase:phase + done]
-    while done < length:
-        step = min(done, length - done)
-        alive[done:done + step] = alive[:step]
-        done += step
+    # Each block is the AND of the two tiles at the block's phases.
+    (tile_a, tile_b), (period_a, period_b) = plan.tiles, PRESIEVE_PERIODS
+    for start in range(0, length, plan.block):
+        n1 = base + 1 + start  # first element of the block
+        a, b = n1 % period_a, n1 % period_b
+        stop = min(start + plan.block, length)
+        np.logical_and(tile_a[a:a + stop - start], tile_b[b:b + stop - start],
+                       out=alive[start:stop])
     for off, squares in plan.strided:
         m1 = base + off + 1  # first shifted element of the segment
         for p2 in squares:
@@ -222,8 +233,9 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     offset) turns the test into full squarefreeness of every shifted value.
 
     The window is cut into segments of SEGMENT_SIZE.  Each worker fills
-    one reused buffer per segment from a pre-sieve tile for 4, 9, 25 and 49,
-    strides the other prime squares below the buffer length, places each
+    one reused buffer per segment, PRESIEVE_BLOCK elements at a time, as the
+    AND of two pre-sieve tiles, one for 4, 9, 25 and 49 and one for 121 and
+    169, strides the other prime squares below the buffer length, places each
     larger square up to four times the cube root of the window end with one
     array remainder, and strikes the squares above that bound through their
     cofactors (``square_multiples``), so only primes up to the bound are
@@ -279,25 +291,21 @@ SUPPORT_SEGMENT = 1 << 16
 _INT64_MAX = (1 << 63) - 1
 
 
-def window_products(window, offsets, primes) -> dict[int, int]:
-    """{D: number of n in the window with D(n) = D}, where D(n) is the
-    product of the given primes p with p^2 dividing some n + offset.
+def _segment_products(w: Window, l, primes: list[int]):
+    """Yield, per SUPPORT_SEGMENT piece of the window, D(n) as an int64
+    array and the list of the D(n) past int64, which are 0 in the array.
 
     D(n) divides the product of the primes, and D(n)^2 divides the product
     of the n + offset, so D fits in int64 unless both pass 2^63 (r >= 3 and
     many primes).  Then each multiply is checked: a row that would pass
-    2^63 is set to 0, which stays 0, and is rebuilt with Python ints.
+    2^63 is set to 0, which stays 0, and is rebuilt with Python ints.  The
+    array is one reused buffer, overwritten by the next segment.
     """
-    w = as_window(window)
-    l = as_offsets(offsets)
-    _require_range(w, l)
-    primes = [int(p) for p in primes]
     class_lists = [_congruence_classes(l, p) for p in primes]
     checked = (math.isqrt(math.prod(w.end + off for off in l.offsets)) > _INT64_MAX
                and math.prod(primes) > _INT64_MAX)
     size = min(SUPPORT_SEGMENT, w.h)
     buf = np.empty(size, dtype=np.int64)
-    products = Counter()
     for base, length in _segments(w.x, w.h, size):
         d = buf[:length]
         d.fill(1)
@@ -307,13 +315,28 @@ def window_products(window, offsets, primes) -> dict[int, int]:
                 if checked:
                     rows[rows > _INT64_MAX // p] = 0
                 rows *= p
-        values, counts = np.unique(d, return_counts=True)
-        products.update(dict(zip(values.tolist(), counts.tolist())))
-        if checked and products.pop(0, 0):
+        big = []
+        if checked:
             for k in np.flatnonzero(d == 0).tolist():
                 n = base + 1 + k
-                products[math.prod(p for p, (p2, classes) in zip(primes, class_lists)
-                                   if n % p2 in classes)] += 1
+                big.append(math.prod(p for p, (p2, classes) in zip(primes, class_lists)
+                                     if n % p2 in classes))
+        yield d, big
+
+
+def window_products(window, offsets, primes) -> dict[int, int]:
+    """{D: number of n in the window with D(n) = D}, where D(n) is the
+    product of the given primes p with p^2 dividing some n + offset."""
+    w = as_window(window)
+    l = as_offsets(offsets)
+    _require_range(w, l)
+    products = Counter()
+    for d, big in _segment_products(w, l, [int(p) for p in primes]):
+        values, counts = np.unique(d, return_counts=True)
+        products.update(dict(zip(values.tolist(), counts.tolist())))
+        if big:
+            del products[0]
+            products.update(big)
     return dict(products)
 
 
@@ -340,8 +363,8 @@ def count_congruent(d: int, window, offsets) -> int:
     For squarefree d this is the count of n whose squarefull product over the
     pattern is divisible by d.  The solutions form u(d) residue classes
     modulo d^2, each counted in O(1); past CLASS_ENUMERATION_CAP classes the
-    count is read from ``window_products`` over the primes of d instead,
-    since n counts exactly when D(n) = d.
+    window is walked instead, computing D(n) over the primes of d segment by
+    segment and counting the n with D(n) = d.
     """
     d = int(d)
     w = as_window(window)
@@ -351,9 +374,10 @@ def count_congruent(d: int, window, offsets) -> int:
     if d == 1:
         return w.h
     class_lists = [_congruence_classes(l, p) for p in factors]
-    if math.prod(len(classes) for _, classes in class_lists) > CLASS_ENUMERATION_CAP:
-        return window_products(w, l, factors).get(d, 0)
-    return _count_congruent_classes(w, class_lists)
+    if math.prod(len(classes) for _, classes in class_lists) <= CLASS_ENUMERATION_CAP:
+        return _count_congruent_classes(w, class_lists)
+    return sum(int(np.count_nonzero(row == d)) + big.count(d)
+               for row, big in _segment_products(w, l, factors))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from sqfree import sieve
 from sqfree.sieve import (
     CLASS_ENUMERATION_CAP,
     MAX_THREADS,
-    PRESIEVE_PERIOD,
+    PRESIEVE_GROUPS,
+    PRESIEVE_PERIODS,
     Window,
     count_congruent,
     count_squarefree,
@@ -215,9 +217,11 @@ def _oracle(x, h, offsets, levels=None):
     return _levelled_count(x, h, offsets, levels, naive_primes(1100))
 
 
-# Windows on both sides of multiples of the pre-sieve period, offsets past
-# it, and per-coordinate levels that keep some of 2, 3, 5, 7 and drop others.
-_P = PRESIEVE_PERIOD
+# Windows on both sides of multiples of the pre-sieve periods and of the
+# pre-sieve block, offsets past both periods, and per-coordinate levels that
+# keep some of 2, 3, 5, 7, 11, 13 and drop others.
+_P, _Q = PRESIEVE_PERIODS
+_B = sieve.PRESIEVE_BLOCK
 _KERNEL_CASES = [
     (3 * _P - 1, 3000, (0,), None),
     (3 * _P, 3000, (0, 1), None),
@@ -228,6 +232,13 @@ _KERNEL_CASES = [
     (2 * _P - 3, 4000, (1, _P + 2), (7.0, 7.5)),
     (9 * _P + 9, 4000, (0, 4, _P), (2.0, 5.5, 50.0)),
     (13 * _P - 11, 4000, (0, 3, 10), (20.0, 1000.0, 12.5)),
+    (3 * _Q - 1, 3000, (0, 2), None),
+    (5 * _Q - 1500, 3000, (0, _Q - 1, 2 * _Q + 5), None),
+    (17 * _Q + 3, 45_000, (0, 1, _Q + 7), None),
+    (4 * _B - 7, 3000, (0, 6), None),
+    (9 * _B - 1000, 70_000, (2, _Q + 121), None),
+    (7 * _Q - 1000, 4000, (0, 1, 2), (12.5, 10.5, 1000.0)),
+    (6 * _B - 20, 4000, (0, 169, 3 * _Q), (10.5, 12.5, 14.0)),
 ]
 
 
@@ -241,10 +252,25 @@ def test_kernel_matches_bruteforce(monkeypatch, segment_size, x, h, offsets, lev
     assert count_tuples((x, h), offsets, z=levels) == expected
 
 
+_BLOCK_SIZES = [1, 7, 20448, 20449, 20450, 1 << 15]
+
+
+@pytest.mark.parametrize("block", _BLOCK_SIZES)
+@pytest.mark.parametrize("segment_size", [64, 20449, 1 << 16])
+@pytest.mark.parametrize("x,h,offsets,levels", _KERNEL_CASES)
+def test_kernel_blocks_match_bruteforce(monkeypatch, block, segment_size, x, h, offsets, levels):
+    if block == 1 and h > 5000:
+        h = 5000  # one block per element: keep the Python loop short
+    expected = _oracle(x, h, offsets, levels)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+    monkeypatch.setattr(sieve, "PRESIEVE_BLOCK", block)
+    assert count_tuples((x, h), offsets, z=levels) == expected
+
+
 @given(
-    st.integers(min_value=0, max_value=20 * PRESIEVE_PERIOD),
+    st.integers(min_value=0, max_value=20 * _P),
     st.integers(min_value=1, max_value=600),
-    st.lists(st.integers(min_value=0, max_value=3 * PRESIEVE_PERIOD),
+    st.lists(st.integers(min_value=0, max_value=3 * _P),
              min_size=1, max_size=3, unique=True),
     st.sampled_from([1, 7, 64, 997, 44099, 44100, 44101]),
 )
@@ -256,9 +282,80 @@ def test_kernel_matches_bruteforce_random(x, h, offsets, segment_size):
         assert count_tuples((x, h), offsets) == expected
 
 
+@given(
+    st.integers(min_value=0, max_value=40 * _Q),
+    st.integers(min_value=1, max_value=2500),
+    st.lists(st.integers(min_value=0, max_value=3 * _P),
+             min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from([2.0, 7.5, 10.5, 12.5, 13.5, 1100.0]), min_size=3, max_size=3),
+    st.sampled_from([1, 7, 64, 997, 20449, 44100]),
+    st.sampled_from(_BLOCK_SIZES),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_blocks_match_bruteforce_random(x, h, offsets, levels, segment_size, block):
+    offsets = sorted(offsets)
+    levels = levels[:len(offsets)]
+    expected = _levelled_count(x, h, offsets, levels, naive_primes(1100))
+    with mock.patch.object(sieve, "SEGMENT_SIZE", segment_size), \
+            mock.patch.object(sieve, "PRESIEVE_BLOCK", block):
+        assert count_tuples((x, h), offsets, z=levels) == expected
+
+
+@pytest.mark.parametrize("offsets,tops,block", [
+    ((0,), (10**6,), 1 << 15),
+    ((0, 1, 2), (12, 10, 1000), 7),
+    ((3, _Q + 5, 2 * _P + 1), (6, 13, 11), 20449),
+    ((0, 4, 6, 8), (2, 3, 7, 12), 1),
+])
+def test_each_tile_marks_exactly_its_groups_squares(monkeypatch, offsets, tops, block):
+    # Tile entry i stands for the n with n = i modulo the tile's period.
+    monkeypatch.setattr(sieve, "PRESIEVE_BLOCK", block)
+    bound = 10**4
+    plan = sieve._plan(offsets, tops, primes_up_to(min(max(tops), bound)), bound, 1 << 24)
+    assert len(plan.tiles) == len(PRESIEVE_GROUPS) == len(PRESIEVE_PERIODS)
+    for tile, group, period in zip(plan.tiles, PRESIEVE_GROUPS, PRESIEVE_PERIODS):
+        assert len(tile) == period + block and not tile.flags.writeable
+        expected = [not any(p <= top and (i + off) % (p * p) == 0
+                            for off, top in zip(offsets, tops) for p in group)
+                    for i in range(len(tile))]
+        assert tile.tolist() == expected
+
+
 def test_kernel_spans_several_segments_against_prefix_difference():
     x, h = 10**12, 10**8  # six segments of the default size
     assert count_tuples((x, h), [0]) == count_squarefree(x + h) - count_squarefree(x)
+
+
+def _squarefree_by_trial_division(values):
+    """Per-value trial division, vectorised over values up to about 1.001e12:
+    a value with no p^2 | m for p <= 10^4 keeps, after dividing out those p,
+    a cofactor of at most two primes above 10^4, squarefree unless it is a
+    square."""
+    m = np.array(values, dtype=np.int64)
+    free = np.ones(len(m), dtype=bool)
+    for p in naive_primes(10**4):
+        free &= m % (p * p) != 0
+        m = np.where(m % p == 0, m // p, m)
+    root = np.sqrt(m).astype(np.int64)
+    square = (m > 1) & ((root * root == m) | ((root + 1) ** 2 == m))
+    return free & ~square
+
+
+@pytest.mark.parametrize("offsets", [(0,), (0, 1), (0, 2, 6), (0, 2, 6, 8)])
+def test_kernel_across_blocks_and_segments_near_1e12_matches_trial_division(monkeypatch, offsets):
+    # 12,000 elements in segments of 5,000 and blocks of 777 and 20,449: the
+    # tiles' phases wrap inside blocks, blocks end inside segments, and
+    # squares of primes up to 10^6 fall in every piece.
+    x, h = 10**12 - 5_003, 12_000
+    n = np.arange(x + 1, x + h + 1, dtype=np.int64)
+    expected = int(np.all([_squarefree_by_trial_division(n + off) for off in offsets],
+                          axis=0).sum())
+    if offsets == (0,):
+        assert expected == count_squarefree(x + h) - count_squarefree(x)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 5_000)
+    for block in (777, 20_449):
+        monkeypatch.setattr(sieve, "PRESIEVE_BLOCK", block)
+        assert count_tuples((x, h), offsets) == expected
 
 
 def test_kernel_peak_memory_is_bounded_by_segment_buffers():
@@ -322,8 +419,8 @@ def test_count_tuples_needs_primes_only_to_four_cube_roots(monkeypatch):
 # ------------------------------------------- strided / placed split
 #
 # Windows end in [100^3, 101^3), so the cofactor bound is 4 * 100 = 400:
-# primes from 11 with p^2 below the buffer length are strided, the rest up
-# to 397 placed with one remainder per segment, and squares above 400 struck
+# 2 to 13 come from the tiles, primes from 17 with p^2 below the buffer
+# length are strided, the rest up to 397 placed with one remainder per segment, and squares above 400 struck
 # through their cofactors.  Each h leaves a shorter last segment; h = 1000
 # is shorter than most of the segment sizes, which then give one segment.
 
@@ -336,6 +433,7 @@ _SPLIT_WINDOWS = [
 @pytest.mark.parametrize("segment_size", [
     120, 121, 122,           # 11^2 = 121 at size + 1, size, size - 1
     168, 169, 170,           # 13^2
+    288, 289, 290,           # 17^2, the first square that can be strided
     10_200, 10_201, 10_202,  # 101^2
 ])
 @pytest.mark.parametrize("x,h,offsets", _SPLIT_WINDOWS)
@@ -345,10 +443,11 @@ def test_placed_squares_at_the_split_match_bruteforce(monkeypatch, segment_size,
     assert count_tuples((x, h), offsets) == expected
 
 
-@pytest.mark.parametrize("p", [11, 13, 101])
+@pytest.mark.parametrize("p", [11, 13, 17, 101])
 def test_a_square_one_below_the_buffer_length_hits_twice(monkeypatch, p):
     # Buffer length p^2 + 1 with the first segment starting on k*p^2: p must
-    # be strided, since it strikes positions 0 and p^2 of that segment.
+    # not be placed, since it strikes positions 0 and p^2 of that segment
+    # (11 and 13 are in a tile, 17 and 101 strided).
     p2 = p * p
     k = next(k for k in range(10**6 // p2, 10**6) if naive_is_squarefree(k + 1))
     x, h = k * p2 - 1, 3 * (p2 + 1) + 5
@@ -359,8 +458,9 @@ def test_a_square_one_below_the_buffer_length_hits_twice(monkeypatch, p):
 
 @pytest.mark.parametrize("segment_size", [121, 122, 10_201, 10_202])
 def test_coordinate_tops_below_inside_and_above_the_placed_range(monkeypatch, segment_size):
-    # Tops 8 (tile only), 11 (strides only), 200 (placed, no cofactor pass)
-    # and isqrt(end) = 1011 (placed up to 397, cofactors above 400).
+    # Tops 8 (first tile only), 11 (both tiles, no strides), 200 (placed, no
+    # cofactor pass) and isqrt(end) = 1011 (placed up to 397, cofactors
+    # above 400).
     x, h, offsets = 10**6, 24_000, (0, 2, 6, 8)
     levels = (9.0, 12.0, 200.5, 1100.0)
     expected = _oracle(x, h, offsets, levels)
@@ -371,8 +471,8 @@ def test_coordinate_tops_below_inside_and_above_the_placed_range(monkeypatch, se
 @pytest.mark.parametrize("bound", [5, 11, 13, 30, 150])
 def test_tile_strides_placement_and_cofactors_overlap(monkeypatch, bound):
     # With a low bound every phase clears some of the same elements: the
-    # tile 2..7, strides from 11 below sqrt(122), placement from 13 to the
-    # bound, cofactors above it.
+    # tiles 2..13 up to the bound, strides from 17 below sqrt(10201),
+    # placement from 17 to the bound, cofactors above it.
     monkeypatch.setattr(sieve, "_cofactor_bound", lambda end: bound)
     x, h, offsets = 10**6, 24_000, (0, 2, 6, 8)
     levels = (9.0, 12.0, 200.5, 1100.0)
@@ -549,6 +649,34 @@ def test_rebuilt_rows_keep_their_multiplicities(monkeypatch):
     rebuilt = window_products(window, offs, primes)
     assert rebuilt == plain
     assert sum(k for d, k in plain.items() if d > 100) > 100
+
+
+def _congruent_by_trial_division(d, x, h, offs):
+    ps = prime_factors(d)
+    return sum(1 for n in range(x + 1, x + h + 1)
+               if all(any((n + o) % (p * p) == 0 for o in offs) for p in ps))
+
+
+@pytest.mark.parametrize("int64_max", [None, 100, 1000])
+def test_walked_congruent_count_matches_classes_and_trial_division(monkeypatch, int64_max):
+    # A cap of 0 sends every modulus but 1 through the window walk; a lower
+    # int64 ceiling sends the rows with D(n) above it through the Python-int
+    # rebuild, which must count D(n) = d there too (d = 105, 210, 1155 pass
+    # the ceiling of 100 and 1000 in turn).
+    rng = random.Random(f"walk-{int64_max}")
+    monkeypatch.setattr(sieve, "CLASS_ENUMERATION_CAP", 0)
+    if int64_max is not None:
+        monkeypatch.setattr(sieve, "_INT64_MAX", int64_max)
+    for d in (2, 6, 30, 105, 210, 1155, 2 * 3 * 5 * 7 * 11 * 13):
+        for _ in range(4):
+            x, h = rng.randrange(0, 10**6), rng.choice([rng.randrange(1, 5000),
+                                                        rng.randrange(1, 1 << 17)])
+            offs = sorted(rng.sample(range(0, 60), rng.randrange(3, 7)))
+            classes = [_congruence_classes(as_offsets(offs), p) for p in prime_factors(d)]
+            got = count_congruent(d, (x, h), offs)
+            assert got == _count_congruent_classes(Window(x, h), classes)
+            if h <= 5000:
+                assert got == _congruent_by_trial_division(d, x, h, offs)
 
 
 def test_count_congruent_large_modulus_uses_classes():
