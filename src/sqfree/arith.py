@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +25,7 @@ MOBIUS_SIEVE_CAP = 1 << 26
 _RESIDUE_BLOCK = 1 << 20
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
@@ -138,53 +137,66 @@ def primes_up_to(bound: int) -> np.ndarray:
     return primes[:int(np.searchsorted(primes, bound, side="right"))]
 
 
-@lru_cache(maxsize=8)
-def _prime_list(bucket: int) -> tuple[int, ...]:
-    return tuple(primes_up_to(bucket).tolist())
+# The Python-int copy of a prefix of the table that trial division walks, as
+# a (bound, primes) pair replaced whole.  It only grows, by doubling, when a
+# cofactor still needs a prime past its end.
+_trial_primes: tuple[int, tuple[int, ...]] = (64, tuple(_sieve_primes(64).tolist()))
 
 
-def _small_primes(bound: int) -> tuple[int, ...]:
-    if bound < 2:
-        return ()
-    bucket = 1 << max(6, bound.bit_length())
-    return _prime_list(bucket)
+def _trial_division(n: int, root) -> tuple[list[tuple[int, int]], int]:
+    """Divide n by the primes p in turn while p is at most root(what is
+    left), root being math.isqrt or _icbrt: the (p, exponent) pairs found,
+    and the cofactor, which has no prime factor up to its root."""
+    global _trial_primes
+    limit = root(n)
+    pairs = []
+    while True:
+        # after a growth the primes already tried divide nothing and pass fast
+        bound, primes = _trial_primes
+        for p in primes:
+            if p > limit:
+                return pairs, n
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                pairs.append((p, e))
+                limit = root(n)
+        if limit <= bound:
+            return pairs, n
+        if limit > PRIME_SIEVE_CAP:
+            raise MemoryBudgetError(
+                f"trial division of the cofactor {n} needs primes to {limit}, "
+                f"past the configured cap {PRIME_SIEVE_CAP}"
+            )
+        grown = min(2 * bound, PRIME_SIEVE_CAP)
+        copy = tuple(primes_up_to(grown).tolist())
+        with _table_lock:
+            if grown > _trial_primes[0]:
+                _trial_primes = (grown, copy)
 
 
 def _icbrt(n: int) -> int:
-    c = round(n ** (1.0 / 3.0))
-    while c > 0 and c * c * c > n:
-        c -= 1
-    while (c + 1) ** 3 <= n:
-        c += 1
+    # Newton's step from a power of two above the root, exact at any size
+    c = 1 << -(-n.bit_length() // 3)
+    while c * c * c > n:
+        c = (2 * c + n // (c * c)) // 3
     return c
 
 
 def squarefull_radical(k: int) -> int:
     """Product of the distinct primes whose square divides k; 1 iff k squarefree.
 
-    Trial division stops at the cube root; whatever remains can contain a
-    square factor only by being a perfect square itself.
+    Trial division stops at the cube root of the cofactor; what remains can
+    contain a square factor only by being a perfect square itself.
     """
     k = int(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    result = 1
-    m = k
-    if k >= 8:
-        for p in _small_primes(_icbrt(k)):
-            if p * p * p > m:
-                break
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    result *= p
-                    m //= p
-                    while m % p == 0:
-                        m //= p
+    pairs, m = _trial_division(k, _icbrt)
     s = math.isqrt(m)
-    if s > 1 and s * s == m:
-        result *= s
-    return result
+    return math.prod(p for p, e in pairs if e > 1) * (s if s * s == m else 1)
 
 
 def is_squarefree(k: int) -> bool:
@@ -239,22 +251,11 @@ def squarefree_prime_factors(d: int) -> list[int]:
     d = int(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
-    factors = []
-    m = d
-    for p in _small_primes(math.isqrt(d)):
-        if p * p > m:
-            break
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                raise ValueError(f"{d} is not squarefree")
-            factors.append(p)
-    if m > 1:
-        s = math.isqrt(m)
-        if s * s == m:
-            raise ValueError(f"{d} is not squarefree")
-        factors.append(m)
-    return factors
+    pairs, m = _trial_division(d, math.isqrt)
+    factors = [p for p, e in pairs if e == 1]
+    if len(factors) < len(pairs):
+        raise ValueError(f"{d} is not squarefree")
+    return factors + [m] if m > 1 else factors
 
 
 def residue_class_count_squarefree(d: int, offsets) -> int:

@@ -245,6 +245,8 @@ def count_square_multiples(query: SquareMultipleQuery) -> int:
     x, top = query.x, query.x + query.h
     lo = math.ceil(query.d_lo)
     hi = min(math.floor(query.d_hi), math.isqrt(top))
+    if lo > hi:
+        return 0
     short = math.isqrt(query.h)
     total = max(0, min(hi, short) - lo + 1)
     # The helper's cofactor range is top // d1^2: keep d1 at the cube root or above.

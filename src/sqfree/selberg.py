@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import as_offsets, primes_up_to, residue_class_counts
+from .arith import as_offsets, primes_up_to, residue_class_counts, squarefree_prime_factors
 from .density import DEFAULT_PRIME_CUTOFF, EulerEstimate, density_constant
 from .errors import DegenerateTupleError
 from .sieve import Window, as_window, count_congruent, count_tuples, window_products
@@ -262,17 +262,12 @@ def _form_support(window: Window, offsets, top: int) -> set[int]:
     """Every squarefree m <= top^2 dividing D(n) for some n in the window,
     D(n) taken over the primes up to top.  The set is closed under
     divisors, and N(m) = 0 off it."""
-    primes = primes_up_to(top).tolist()
     bound = top * top
     support = set()
-    for product in window_products(window, offsets, primes):
+    for product in window_products(window, offsets, primes_up_to(top)):
         divisors = [1]
-        for p in primes:
-            if product == 1:
-                break
-            if product % p == 0:
-                product //= p
-                divisors += [q * p for q in divisors if q * p <= bound]
+        for p in squarefree_prime_factors(product):
+            divisors += [q * p for q in divisors if q * p <= bound]
         support.update(divisors)
     return support
 

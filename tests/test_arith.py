@@ -24,6 +24,7 @@ from sqfree.arith import (
     squarefull_radical,
 )
 from sqfree.errors import MemoryBudgetError
+from sqfree.sieve import count_congruent
 
 from conftest import naive_primes, naive_squarefull_radical
 
@@ -57,6 +58,12 @@ def test_offsets_span_and_shift():
 ])
 def test_squarefull_radical_examples(k, expected):
     assert squarefull_radical(k) == expected
+
+
+def test_integer_cube_root_is_exact_at_any_size():
+    for n in [0, 1, 7, 8, 9, 26, 27, 10**18, 2**62, 10**150 - 1, 10**150, 10**200]:
+        c = arith._icbrt(n)
+        assert c**3 <= n < (c + 1) ** 3
 
 
 def test_squarefull_radical_rejects_nonpositive():
@@ -112,6 +119,10 @@ def test_product_divisible_by_p_iff_square_divides_some_coordinate(n, offs):
 
 # -------------------------------------------------------- residue counts
 
+# The smallest strong pseudoprime to every prime base up to 37.
+_PSEUDOPRIME = 399165290221 * 798330580441
+
+
 def test_residue_class_count_examples():
     assert residue_class_count(2, [0, 4]) == 1
     assert residue_class_count(2, [0, 1]) == 2
@@ -123,6 +134,8 @@ def test_residue_class_count_rejects_composite():
         residue_class_count(4, [0, 1])
     with pytest.raises(ValueError):
         residue_class_count(1, [0])
+    with pytest.raises(ValueError):
+        residue_class_count(_PSEUDOPRIME, [0])
 
 
 def test_residue_class_count_squarefree_examples():
@@ -248,6 +261,7 @@ def test_is_prime_agrees_with_table():
         assert is_prime(n) == (n in table)
     assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime(2**59 - 1)
+    assert not is_prime(_PSEUDOPRIME)
 
 
 def test_primorial_growth_cap():
@@ -267,6 +281,116 @@ def test_squarefree_prime_factors():
         squarefree_prime_factors(12)
     with pytest.raises(ValueError):
         squarefree_prime_factors(49)
+
+
+def _naive_factorization(n: int) -> dict[int, int]:
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _fresh_trial_copy(monkeypatch):
+    monkeypatch.setattr(arith, "_trial_primes", (64, tuple(naive_primes(64))))
+
+
+@pytest.mark.parametrize("primes", [naive_primes(43)[1:], naive_primes(53)],
+                         ids=["3-to-43", "2-to-53"])
+def test_trial_division_grows_only_as_far_as_the_cofactor_needs(monkeypatch, primes):
+    # every factor is at most 53, but the square roots of 3*5*...*43 and
+    # 2*3*...*53 are near 8.1e7 and 5.7e9
+    _fresh_trial_copy(monkeypatch)
+    d = math.prod(primes)
+    x, h, offs = 10, 100, [0, 1]
+    brute = sum(1 for n in range(x + 1, x + h + 1)
+                if all(any((n + o) % (p * p) == 0 for o in offs) for p in primes))
+    tracemalloc.start()
+    try:
+        assert squarefree_prime_factors(d) == primes
+        assert squarefull_radical(d) == 1
+        assert squarefull_radical(d * d) == d
+        assert count_congruent(d, (x, h), offs) == brute
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert max(arith._trial_primes[1]) < 2**7
+
+
+_PRIMES_TO_20000 = naive_primes(20000)
+
+
+@st.composite
+def _factored_integers(draw):
+    small = draw(st.lists(st.sampled_from(_PRIMES_TO_20000[:46]), max_size=25, unique=True))
+    large = draw(st.lists(st.sampled_from(_PRIMES_TO_20000[46:]), max_size=2, unique=True))
+    factors = {p: draw(st.integers(min_value=1, max_value=3)) for p in small}
+    for q in large:
+        factors[q] = factors.get(q, 0) + 1
+    return math.prod(p**e for p, e in factors.items())
+
+
+@given(_factored_integers())
+@settings(max_examples=300, deadline=None)
+def test_trial_division_matches_naive_factoring(n):
+    # up to 25 primes below 200 with exponents up to 3 reach far past 2^63;
+    # up to two primes from 211 to 20000 make the copy grow
+    factors = _naive_factorization(n)
+    assert squarefull_radical(n) == math.prod(p for p, e in factors.items() if e > 1)
+    if all(e == 1 for e in factors.values()):
+        assert squarefree_prime_factors(n) == sorted(factors)
+    else:
+        with pytest.raises(ValueError):
+            squarefree_prime_factors(n)
+
+
+def test_a_late_small_trial_copy_never_replaces_a_larger_one(monkeypatch):
+    # Factoring 67 * 71 grows the copy to 128; that growth is held until
+    # factoring 2053 * 2063 in this thread has grown it to 4096, or for 0.5 s.
+    # Publishing the small copy last would shrink the copy.
+    _fresh_trial_copy(monkeypatch)
+    sieve = arith.primes_up_to
+    held = threading.Event()
+
+    def late_small_copy(bound):
+        if bound == 128 and not held.is_set():
+            held.set()
+            deadline = time.monotonic() + 0.5
+            while arith._trial_primes[0] < 4096 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return sieve(bound)
+
+    monkeypatch.setattr(arith, "primes_up_to", late_small_copy)
+    small = []
+    thread = threading.Thread(target=lambda: small.append(squarefree_prime_factors(67 * 71)))
+    thread.start()
+    assert held.wait(timeout=30)
+    assert squarefree_prime_factors(2053 * 2063) == [2053, 2063]
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert small == [[67, 71]]
+    assert arith._trial_primes == (4096, tuple(naive_primes(4096)))
+
+
+def test_trial_division_rejects_a_large_prime_at_once(monkeypatch):
+    # the square root of a prime near 1e17 is past the 2^27 cap: rejected
+    # before the copy grows at all
+    _fresh_trial_copy(monkeypatch)
+    p = 10**17 + 3
+    assert is_prime(p)
+    start = time.perf_counter()
+    with pytest.raises(MemoryBudgetError):
+        squarefree_prime_factors(p)
+    with pytest.raises(MemoryBudgetError):
+        count_congruent(p, (10, 100), [0])
+    assert time.perf_counter() - start < 0.5
+    assert arith._trial_primes[0] == 64
 
 
 # --------------------------------------------------------------- mobius

@@ -318,6 +318,8 @@ def test_low_range_hits_respect_elementary_cap(oracle_primes_2000):
 
 def test_square_multiples_examples():
     assert count_square_multiples(SquareMultipleQuery(100, 20, 5, 10)) == 1  # d = 6
+    # no d between d_lo and sqrt(x + h): no array is built from a d_lo past int64
+    assert count_square_multiples(SquareMultipleQuery(100, 20, 9.3e18, 1e19)) == 0
     assert count_square_multiples(SquareMultipleQuery(0, 144, 1, 12)) == 12
     assert count_square_multiples(SquareMultipleQuery(10**6, 10**3, 100, 2000)) == (
         sum(

@@ -205,6 +205,14 @@ def test_squaremul_command(capsys):
     )
 
 
+def test_squaremul_with_d_lo_past_int64_counts_zero(capsys):
+    code, out, _ = run_cli(
+        capsys, "squaremul", "--x", "100", "--h", "20", "--d-lo", "9.3e18", "--d-hi", "1e19"
+    )
+    assert code == 0
+    assert parse_csv(out)[0]["count"] == "0"
+
+
 def test_sweep_grid_cardinality(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--x", "1000,2000,3000", "--h", "50", "--offsets", "0"
