@@ -9,6 +9,7 @@ n + offset_i is squarefree".
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -26,15 +27,25 @@ from .arith import (
     squarefree_prime_factors,
 )
 
-# Elements per segment, and the length of each worker's reused buffer.  Of
-# the sizes 2^18 .. 2^26 measured, 2^24 gave the fastest wide windows.
+# Elements per segment: the unit a worker takes, over which the sparse
+# strikes are gathered and sorted once.  Re-timed on wide windows with the
+# sub-blocks below, 2^23 and 2^25 were no faster (ROADMAP "Settled").
 SEGMENT_SIZE = 1 << 24
+# Elements per sub-block, the length of each worker's reused buffer: a
+# sub-block is filled, densely struck, sparsely cleared and counted while
+# it stays in L2.  Of 2^18 .. 2^21, 2^20 timed best.
+SUB_BLOCK = 1 << 20
+# The primes from 17 with p^2 below this are strided sub-block by
+# sub-block; the larger ones go to each segment's sparse strike array.  Of
+# 2^12 .. 2^16, 2^14 .. 2^16 timed alike and faster than 2^12 and 2^13.
+DENSE_LIMIT = 1 << 15
 # Pre-sieve groups, one tile each; a tile's period is the product of its
 # group's prime squares (44100 and 20449).  The strides start at 17.
 PRESIEVE_GROUPS = ((2, 3, 5, 7), (11, 13))
 PRESIEVE_PERIODS = tuple(math.prod(p * p for p in group) for group in PRESIEVE_GROUPS)
-# Elements per pre-sieve block: a segment is filled block by block with one
-# logical_and of the two tiles.  2^17 blocks slowed 1e6 windows; 2^15 did not.
+# Elements per pre-sieve block: a sub-block is filled block by block with
+# one logical_and of the two tiles.  2^17 blocks slowed 1e6 windows; 2^15
+# did not.
 PRESIEVE_BLOCK = 1 << 15
 # Most worker threads count_tuples accepts.
 MAX_THREADS = 64
@@ -102,7 +113,7 @@ def _normalize_levels(z, window: Window, offsets) -> list[float]:
     r = offsets.r
     if z is None:
         return [full_level(window, offsets)] * r
-    if isinstance(z, (int, float)):
+    if isinstance(z, numbers.Real):  # numpy scalars included
         return [float(z)] * r
     levels = [float(v) for v in z]
     if len(levels) != r:
@@ -158,70 +169,105 @@ class _Plan:
     tiles: tuple      # per PRESIEVE_GROUPS entry, period + block read-only flags: False
                       # where some p of the group, p <= top, has p^2 | n + offset
     block: int        # elements per pre-sieve block
-    strided: tuple    # (offset, [p^2, ...]) for the primes from 17 with p^2 < buffer length
-    placed: tuple     # (offset, p^2 array) for the larger primes up to min(top, bound)
+    sub: int          # elements per sub-block, the length of each worker's buffer
+    dense: tuple      # (offset, [p^2, ...]) for the primes from 17 with p^2 < DENSE_LIMIT
+    sparse: tuple     # (offset, p^2 array) for the next primes with p^2 < segment length
+    placed: tuple     # (offset, p^2 array) for the rest up to min(top, bound)
     cofactor: tuple   # (offset, top) for coordinates whose squares m^2 go past the bound
     bound: int        # the cofactor bound
 
 
 def _plan(offsets, tops, primes: np.ndarray, bound: int, size: int) -> _Plan:
     # ``primes`` runs to min(max(tops), bound); each coordinate takes the
-    # prefix up to its own top, so the first six are 2, 3, 5, 7, 11, 13.  A
-    # prime with p^2 >= size hits a segment of at most size elements at most
-    # once, so one read-only array of those squares serves every coordinate.
+    # prefix up to its own top, so the first six are 2, 3, 5, 7, 11, 13.
+    # Past the dense primes, one read-only array of squares serves every
+    # coordinate: those below the segment length are sparse, and the rest
+    # hit a segment of at most size elements at most once.
     pre = sum(len(group) for group in PRESIEVE_GROUPS)
-    split = max(pre, int(np.searchsorted(primes, math.isqrt(size - 1), side="right")))
-    squares = primes[split:] * primes[split:]
+
+    def split(limit):
+        return max(pre, int(np.searchsorted(primes, math.isqrt(limit - 1), side="right")))
+
+    sub = min(SUB_BLOCK, size)
+    dense_end, sparse_end = split(min(DENSE_LIMIT, size)), split(size)
+    squares = primes[dense_end:] * primes[dense_end:]
     squares.flags.writeable = False
     # A period and a block hold one block from any phase; every p^2 of a
     # group divides its tile's period, so the marks repeat with it.
-    block = min(PRESIEVE_BLOCK, size)
+    block = min(PRESIEVE_BLOCK, sub)
     tiles = tuple(np.ones(period + block, dtype=bool) for period in PRESIEVE_PERIODS)
-    strided, placed, cofactor = [], [], []
+    dense, sparse, placed, cofactor = [], [], [], []
     for off, top in zip(offsets, tops):
         for group, tile in zip(PRESIEVE_GROUPS, tiles):
             for p in group:
                 if p <= min(top, bound):
                     tile[(-off) % (p * p)::p * p] = False
         count = int(np.searchsorted(primes, top, side="right"))
-        small = primes[pre:min(count, split)].tolist()
+        small = primes[pre:min(count, dense_end)].tolist()
         if small:
-            strided.append((off, [p * p for p in small]))
-        if count > split:
-            placed.append((off, squares[:count - split]))
+            dense.append((off, [p * p for p in small]))
+        if min(count, sparse_end) > dense_end:
+            sparse.append((off, squares[:min(count, sparse_end) - dense_end]))
+        if count > sparse_end:
+            placed.append((off, squares[sparse_end - dense_end:count - dense_end]))
         if top > bound:
             cofactor.append((off, top))
     for tile in tiles:
         tile.flags.writeable = False
-    return _Plan(tiles, block, tuple(strided), tuple(placed), tuple(cofactor), bound)
+    return _Plan(tiles, block, sub, tuple(dense), tuple(sparse), tuple(placed),
+                 tuple(cofactor), bound)
 
 
-def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> int:
-    """Survivors among n in (base, base+length], marked in ``alive``."""
-    alive = alive[:length]
-    # Each block is the AND of the two tiles at the block's phases.
-    (tile_a, tile_b), (period_a, period_b) = plan.tiles, PRESIEVE_PERIODS
-    for start in range(0, length, plan.block):
-        n1 = base + 1 + start  # first element of the block
-        a, b = n1 % period_a, n1 % period_b
-        stop = min(start + plan.block, length)
-        np.logical_and(tile_a[a:a + stop - start], tile_b[b:b + stop - start],
-                       out=alive[start:stop])
-    for off, squares in plan.strided:
-        m1 = base + off + 1  # first shifted element of the segment
-        for p2 in squares:
-            alive[(-m1) % p2::p2] = False
-    for off, squares in plan.placed:
-        # p^2 is at least the buffer length, so each prime hits at most once.
+def _sparse_strikes(base: int, length: int, plan: _Plan) -> np.ndarray:
+    """Sorted indices into (base, base+length] that the sparse and placed
+    primes and the cofactor pass strike, repeats kept."""
+    strikes = [np.empty(0, dtype=np.int64)]
+    for off, squares in plan.sparse:
+        # Prime j strikes start_j + i*p_j^2 for i < counts_j, entry first_j + i
+        # of the result: that is (start_j - first_j*p_j^2) + entry*p_j^2.
         start = np.remainder(-(base + off + 1), squares)
-        alive[start[start < length]] = False
+        counts = (length - 1 - start) // squares + 1
+        first = np.cumsum(counts) - counts
+        strikes.append(np.repeat(start - first * squares, counts)
+                       + np.repeat(squares, counts) * np.arange(int(counts.sum())))
+    for off, squares in plan.placed:
+        # p^2 is at least the segment length, so each prime hits at most once.
+        start = np.remainder(-(base + off + 1), squares)
+        strikes.append(start[start < length])
     for off, top in plan.cofactor:
         # Every m in (bound, top], composite or not: a prime q | m has
         # q < m <= top < z_i and q^2 | m^2, so a composite m only strikes an
         # n that q strikes anyway.
         m1 = base + off + 1
-        alive[square_multiples(m1 - 1, m1 - 1 + length, plan.bound, top) - m1] = False
-    return int(np.count_nonzero(alive))
+        strikes.append(square_multiples(m1 - 1, m1 - 1 + length, plan.bound, top) - m1)
+    strikes = np.concatenate(strikes)
+    strikes.sort()
+    return strikes
+
+
+def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> int:
+    """Survivors among n in (base, base+length], counted one sub-block of
+    ``alive`` at a time."""
+    strikes = _sparse_strikes(base, length, plan)
+    starts = range(0, length, plan.sub)
+    cuts = np.searchsorted(strikes, [*starts, length]).tolist()
+    (tile_a, tile_b), (period_a, period_b) = plan.tiles, PRESIEVE_PERIODS
+    total = 0
+    for start, lo, hi in zip(starts, cuts, cuts[1:]):
+        view = alive[:min(plan.sub, length - start)]
+        n1 = base + 1 + start  # first element of the sub-block
+        # Each block is the AND of the two tiles at the block's phases.
+        for b in range(0, len(view), plan.block):
+            a, c = (n1 + b) % period_a, (n1 + b) % period_b
+            stop = min(b + plan.block, len(view))
+            np.logical_and(tile_a[a:a + stop - b], tile_b[c:c + stop - b], out=view[b:stop])
+        for off, squares in plan.dense:
+            m1 = n1 + off  # first shifted element of the sub-block
+            for p2 in squares:
+                view[(-m1) % p2::p2] = False
+        view[strikes[lo:hi] - start] = False
+        total += int(np.count_nonzero(view))
+    return total
 
 
 def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
@@ -232,14 +278,17 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     per-coordinate levels; the default level 2*sqrt(window end + largest
     offset) turns the test into full squarefreeness of every shifted value.
 
-    The window is cut into segments of SEGMENT_SIZE.  Each worker fills
-    one reused buffer per segment, PRESIEVE_BLOCK elements at a time, as the
+    The window is cut into segments of SEGMENT_SIZE.  Per segment, one
+    sorted int64 array lists every strike of the prime squares from
+    DENSE_LIMIT up to the segment length (repeated from each first hit), of
+    the larger squares up to four times the cube root of the window end
+    (placed with one array remainder) and of the squares above that bound
+    (through their cofactors, ``square_multiples``), so only primes up to
+    the bound are needed.  Each segment is then counted one SUB_BLOCK of a
+    reused buffer at a time: filled PRESIEVE_BLOCK elements at a time as the
     AND of two pre-sieve tiles, one for 4, 9, 25 and 49 and one for 121 and
-    169, strides the other prime squares below the buffer length, places each
-    larger square up to four times the cube root of the window end with one
-    array remainder, and strikes the squares above that bound through their
-    cofactors (``square_multiples``), so only primes up to the bound are
-    needed.
+    169, struck by strides for the squares from 17^2 below DENSE_LIMIT,
+    cleared at its range of the strike array and counted.
     ``threads`` must lie in [1, MAX_THREADS]; at most one worker per segment
     runs.
     """
@@ -263,7 +312,7 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     lock = threading.Lock()
 
     def worker() -> int:
-        alive = np.empty(size, dtype=bool)
+        alive = np.empty(plan.sub, dtype=bool)
         total = 0
         while True:
             with lock:

@@ -359,15 +359,16 @@ def test_kernel_across_blocks_and_segments_near_1e12_matches_trial_division(monk
 
 
 def test_kernel_peak_memory_is_bounded_by_segment_buffers():
-    # The kernel holds one 16 MiB segment buffer however long the window;
-    # numpy reports its buffers to tracemalloc.
+    # The kernel holds one 1 MiB sub-block buffer and each segment's sparse
+    # strike array (about 45k int64 entries here) however long the window;
+    # numpy reports its buffers to tracemalloc.  The traced peak was 1.9 MiB.
     tracemalloc.start()
     try:
         count_tuples((10**12, 10**8), [0, 1, 2])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_density_convergence_smoke():
@@ -416,13 +417,126 @@ def test_count_tuples_needs_primes_only_to_four_cube_roots(monkeypatch):
         assert asked and max(asked) <= 4 * _icbrt(x + h + offs[-1]) + 1
 
 
+# ------------------------------------------- sub-blocks and sparse strikes
+#
+# Windows end below 101^3, so the cofactor bound is 400.  Each case sets a
+# sub-block length, a dense limit and a segment length that do not divide
+# one another, and puts one strike on the first or last element of a
+# sub-block after the first: that of a sparse prime (the least q with
+# q^2 >= the dense limit) or of the cofactor pass (401^2).  The struck
+# element is otherwise a survivor, so a lost or shifted strike changes the
+# count.
+
+_BLOCKING = [
+    # (sub-block, dense limit, segment, h)
+    (1, 300, 997, 2_500),
+    (7, 300, 9_973, 12_000),
+    (777, 1_000, 9_973, 12_000),
+    ((1 << 15) + 3, 5_003, 33_001, 33_271),
+]
+_PATTERNS = [(0,), (0, 1), (0, 2, 6), (0, 2, 6, 8)]
+
+
+@functools.lru_cache(maxsize=None)
+def _per_n(x, h, offsets):
+    return sum(1 for n in range(x + 1, x + h + 1) if is_tuple_squarefree(n, offsets))
+
+
+def _struck_survivor_window(t, q, offsets, h):
+    """(x, h) with element t (0-based) of the window struck only by q^2 on
+    the last coordinate: n + offsets[-1] = c*q^2 with c squarefree and prime
+    to q, and n + every other offset squarefree."""
+    q2, last = q * q, offsets[-1]
+    for c in range(1, 101**3 // q2):
+        n = c * q2 - last
+        x = n - 1 - t
+        if (x >= 0 and x + h + last < 101**3 and c % q and is_tuple_squarefree(c, [0])
+                and (len(offsets) == 1 or is_tuple_squarefree(n, offsets[:-1]))):
+            return x, h
+    raise AssertionError("no window")
+
+
+_KINDS = ["sparse-first", "sparse-last", "cofactor-first", "cofactor-last"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("blocking", _BLOCKING)
+def test_sub_block_edges_match_per_n_test(monkeypatch, blocking, kind):
+    sub, dense, segment, h = blocking
+    # Across its four kinds, each blocking meets every pattern once.
+    offsets = _PATTERNS[(_BLOCKING.index(blocking) + _KINDS.index(kind)) % 4]
+    q = 401 if kind.startswith("cofactor") else next(p for p in naive_primes(400) if p * p >= dense)
+    assert q == 401 or q * q < segment
+    # The second segment's second sub-block, or its first when it has one.
+    first = segment + (sub if sub < segment else 0)
+    t = first if kind.endswith("first") else first - 1
+    x, h = _struck_survivor_window(t, q, offsets, h)
+    expected = _per_n(x, h, offsets)
+    monkeypatch.setattr(sieve, "SUB_BLOCK", sub)
+    monkeypatch.setattr(sieve, "DENSE_LIMIT", dense)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment)
+    assert count_tuples((x, h), offsets) == expected
+    assert count_tuples((x, h), offsets, threads=2) == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6 - 3000),
+    st.integers(min_value=1, max_value=3000),
+    st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=4, unique=True),
+    st.sampled_from([1, 7, 777, (1 << 15) + 3]),
+    st.sampled_from([1, 300, 1_000, 5_003, 1 << 15]),
+    st.sampled_from([1, 97, 997, 9_973, (1 << 15) + 5]),
+    st.sampled_from([None, 13, 50]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sub_blocks_match_per_n_test_random(x, h, offsets, sub, dense, segment, bound):
+    offsets = sorted(offsets)
+    if sub == 1:
+        h = min(h, 600)  # one sub-block per element: keep the Python loop short
+    expected = _per_n(x, h, tuple(offsets))
+    with mock.patch.object(sieve, "SUB_BLOCK", sub), \
+            mock.patch.object(sieve, "DENSE_LIMIT", dense), \
+            mock.patch.object(sieve, "SEGMENT_SIZE", segment), \
+            mock.patch.object(sieve, "_cofactor_bound",
+                              sieve._cofactor_bound if bound is None else lambda end: bound):
+        assert count_tuples((x, h), offsets) == expected
+
+
+def test_sparse_strikes_are_sorted_and_complete():
+    # Every strike of the sparse phase, against the same strikes by Python
+    # loops, on a segment with sparse, placed and cofactor primes.
+    x, length, offsets = 10**6 - 7, 9_973, (0, 2, 6)
+    end = x + length + offsets[-1]
+    tops = [math.isqrt(end + off) for off in offsets]
+    bound = sieve._cofactor_bound(end)
+    with mock.patch.object(sieve, "DENSE_LIMIT", 1_000):
+        plan = sieve._plan(offsets, tops, primes_up_to(bound), bound, length)
+    strikes = sieve._sparse_strikes(x, length, plan)
+    expected = sorted(
+        t for off, top in zip(offsets, tops)
+        for m in [*(p for p in naive_primes(bound) if p * p >= 1_000), *range(bound + 1, top + 1)]
+        for t in range((-(x + off + 1)) % (m * m), length, m * m))
+    assert strikes.tolist() == expected
+
+
+@pytest.mark.parametrize("level", [np.int64(50), np.int32(7), np.float32(50), np.float64(12.5),
+                                   np.uint16(1000)])
+def test_numpy_scalar_levels_equal_python_numbers(level):
+    w, offsets = (1000, 100), [0, 2]
+    python_level = level.item()
+    assert count_tuples(w, offsets, z=level) == count_tuples(w, offsets, z=python_level)
+    assert count_tuples(w, offsets, z=[level, level]) == count_tuples(w, offsets, z=python_level)
+
+
 # ------------------------------------------- strided / placed split
 #
 # Windows end in [100^3, 101^3), so the cofactor bound is 4 * 100 = 400:
-# 2 to 13 come from the tiles, primes from 17 with p^2 below the buffer
-# length are strided, the rest up to 397 placed with one remainder per segment, and squares above 400 struck
-# through their cofactors.  Each h leaves a shorter last segment; h = 1000
-# is shorter than most of the segment sizes, which then give one segment.
+# 2 to 13 come from the tiles, primes from 17 with p^2 below the segment
+# length are strided (all dense here: every segment size below is under
+# DENSE_LIMIT), the rest up to 397 placed with one remainder per segment,
+# and squares above 400 struck through their cofactors.  Each h leaves a
+# shorter last segment; h = 1000 is shorter than most of the segment sizes,
+# which then give one segment.
 
 _SPLIT_WINDOWS = [
     (10**6, 24_500, (0, 2)),
@@ -445,7 +559,7 @@ def test_placed_squares_at_the_split_match_bruteforce(monkeypatch, segment_size,
 
 @pytest.mark.parametrize("p", [11, 13, 17, 101])
 def test_a_square_one_below_the_buffer_length_hits_twice(monkeypatch, p):
-    # Buffer length p^2 + 1 with the first segment starting on k*p^2: p must
+    # Segment length p^2 + 1 with the first segment starting on k*p^2: p must
     # not be placed, since it strikes positions 0 and p^2 of that segment
     # (11 and 13 are in a tile, 17 and 101 strided).
     p2 = p * p
