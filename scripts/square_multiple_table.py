@@ -14,8 +14,6 @@ import math
 from sqfree.buchstab import SquareMultipleQuery, count_square_multiples
 from sqfree.cli import add_output_flags, emit
 
-COLUMNS = ["scale", "x", "h", "d_lo", "d_hi", "count", "ratio"]
-
 
 def build_rows(x: int, scales) -> list[dict]:
     rows = []
@@ -40,7 +38,7 @@ def main(argv=None) -> int:
     add_output_flags(parser)
     args = parser.parse_args(argv)
     scales = [int(s) for s in args.scales.split(",")]
-    emit(build_rows(args.x, scales), COLUMNS, args.format, args.out)
+    emit(build_rows(args.x, scales), args.format, args.out)
     return 0
 
 

@@ -7,7 +7,6 @@ from .arith import (
     OffsetTuple,
     as_offsets,
     is_prime,
-    is_squarefree,
     is_tuple_squarefree,
     mobius_up_to,
     primes_up_to,

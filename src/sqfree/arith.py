@@ -77,12 +77,6 @@ class OffsetTuple:
     def span(self) -> int:
         return self.offsets[-1] - self.offsets[0]
 
-    def shifted(self, c: int) -> "OffsetTuple":
-        return OffsetTuple(tuple(o + c for o in self.offsets))
-
-    def __iter__(self):
-        return iter(self.offsets)
-
     def __str__(self):
         return ";".join(str(o) for o in self.offsets)
 
@@ -199,10 +193,6 @@ def squarefull_radical(k: int) -> int:
     return math.prod(p for p, e in pairs if e > 1) * (s if s * s == m else 1)
 
 
-def is_squarefree(k: int) -> bool:
-    return squarefull_radical(k) == 1
-
-
 def squarefull_product(n: int, offsets) -> int:
     """Product of squarefull_radical(n + offset) over the pattern; 1 iff every
     shifted value is squarefree."""
@@ -278,8 +268,7 @@ def mobius_up_to(n: int) -> np.ndarray:
         )
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
-    dtype = np.int32 if n < 2**31 else np.int64
-    val = np.arange(n + 1, dtype=dtype)
+    val = np.arange(n + 1, dtype=np.int32)  # n <= MOBIUS_SIEVE_CAP < 2^31
     for p in primes_up_to(math.isqrt(n)).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0

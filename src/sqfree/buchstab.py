@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .arith import _icbrt, as_offsets, primes_up_to, residue_class_counts
-from .sieve import Window, _segments, as_window, count_tuples, full_level, square_multiples
+from .sieve import (Window, _require_range, _segments, as_window, count_tuples, full_level,
+                    square_multiples)
 
 # Ledger rows (one int64 tally each) allowed per decomposition.
 LEDGER_ROW_CAP = 2_000_000
@@ -76,6 +77,7 @@ def count_square_hits(window, offsets, coord: int, q_lo: float, q_hi: float) -> 
     """
     w = as_window(window)
     l = as_offsets(offsets)
+    _require_range(w, l)
     if not 1 <= coord <= l.r:
         raise ValueError("coordinate index out of range")
     off = l.offsets[coord - 1]
@@ -144,6 +146,7 @@ def buchstab_decompose(window, offsets, cutoff: float) -> BuchstabReport:
     """
     w = as_window(window)
     l = as_offsets(offsets)
+    _require_range(w, l)
     top = full_level(w, l)
     if not 2.0 <= cutoff <= top:
         raise ValueError("cutoff must lie in [2, 2*sqrt(window end + largest offset)]")
@@ -198,7 +201,7 @@ def buchstab_decompose(window, offsets, cutoff: float) -> BuchstabReport:
     per_coord = tuple(
         count_square_hits(w, l, coord, cutoff, top) for coord in range(1, l.r + 1)
     )
-    removed_cap = l.r * max(per_coord) if per_coord else 0
+    removed_cap = l.r * max(per_coord)
     return BuchstabReport(
         window=w,
         offsets=l,
@@ -259,9 +262,6 @@ def count_square_multiples(query: SquareMultipleQuery) -> int:
 
 
 def _parse_growth(choice):
-    if isinstance(choice, tuple):
-        kind, c = choice
-        return str(kind), float(c)
     text = str(choice)
     if text.startswith("const:"):
         return "const", float(text.split(":", 1)[1])

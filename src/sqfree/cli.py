@@ -16,29 +16,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .arith import OffsetTuple, as_offsets
 from .buchstab import SquareMultipleQuery, buchstab_decompose, count_square_multiples
 from .density import DEFAULT_PRIME_CUTOFF, density_constant, inverse_density_cap
-from .errors import ContractViolation, DegenerateTupleError, MemoryBudgetError
+from .errors import ContractViolation, MemoryBudgetError
 from .selberg import excess_exponent, optimal_weights, quadratic_form_bound, sieve_level
 from .sieve import MAX_THREADS, Window, count_tuples, full_level
-
-COLUMNS = {
-    "count": ["x", "h", "offsets", "z", "q"],
-    "density": ["offsets", "r", "prime_cutoff", "lower", "upper", "tail_log_bound",
-                "degenerate_zero", "inverse_upper", "inverse_cap", "inverse_holds"],
-    "selberg": ["x", "h", "offsets", "z", "form_minimum", "normalizer", "weight_mass",
-                "tail_defect", "inv_density_upper", "form_value", "exact_count",
-                "reference_rhs", "certified"],
-    "buchstab": ["x", "h", "offsets", "lambda0", "base_count", "base_main", "base_error",
-                 "divisor_cap", "removed_total", "removed_cap", "exact_count",
-                 "reconciliation", "ledger_rows"],
-    "squaremul": ["x", "h", "d_lo", "d_hi", "count"],
-    "sweep": ["x", "h", "r", "offsets", "q", "density_lower", "density_upper",
-              "density_mid", "ratio", "excess_exponent", "excess_stat"],
-}
 
 
 def _threads_arg(text: str) -> int:
@@ -83,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact tuple count over one window")
     window(p)
     p.add_argument("--offsets", type=_offsets_arg, required=True)
-    p.add_argument("--z", default=None, help="sieve level (default: full squarefree test)")
+    p.add_argument("--z", type=float, default=None,
+                   help="sieve level (default: full squarefree test)")
     threads(p)
     add_output_flags(p)
 
@@ -158,11 +143,9 @@ def _excess_stat(q: int, mid: float, h: int):
 def run_command(args: argparse.Namespace) -> list[dict]:
     if args.command == "count":
         w = Window(args.x, args.h)
-        # "auto" keeps the default full-squarefree level
-        z = float(args.z) if args.z not in (None, "auto") else None
-        q = count_tuples(w, args.offsets, z=z, threads=args.threads)
-        z_used = z if z is not None else full_level(w, args.offsets)
-        return [{"x": w.x, "h": w.h, "offsets": str(args.offsets), "z": z_used, "q": q}]
+        q = count_tuples(w, args.offsets, z=args.z, threads=args.threads)
+        z = args.z if args.z is not None else full_level(w, args.offsets)
+        return [{"x": w.x, "h": w.h, "offsets": str(args.offsets), "z": z, "q": q}]
 
     if args.command == "density":
         est = density_constant(args.offsets, args.prime_cutoff)
@@ -258,16 +241,12 @@ def format_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        value = float(value)
     if isinstance(value, float):
         return f"{value:.15g}"
     return str(value)
 
 
 def _json_value(value):
-    if isinstance(value, Fraction):
-        value = float(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             return None
@@ -275,25 +254,28 @@ def _json_value(value):
     return value
 
 
-def render(rows: list[dict], columns: list[str], fmt: str) -> str:
+def render(rows: list[dict], fmt: str) -> str:
+    """The rows as CSV or JSON; every row has the first row's keys, in column
+    order."""
+    columns = list(rows[0])
     # Int cells render exactly, past the interpreter's 4300-digit default too.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            payload = [{c: _json_value(row.get(c)) for c in columns} for row in rows]
+            payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
             return json.dumps(payload, indent=2) + "\n"
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(format_cell(row.get(c)) for c in columns))
+            lines.append(",".join(format_cell(row[c]) for c in columns))
         return "\n".join(lines) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def emit(rows: list[dict], columns: list[str], fmt: str, out=None) -> None:
+def emit(rows: list[dict], fmt: str, out=None) -> None:
     """Render the rows and write them to ``out``, or to stdout when it is None."""
-    text = render(rows, columns, fmt)
+    text = render(rows, fmt)
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -309,12 +291,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         rows = run_command(args)
-        emit(rows, COLUMNS[args.command], args.format, args.out)
+        emit(rows, args.format, args.out)
         return 0
     except ContractViolation as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, MemoryBudgetError, DegenerateTupleError, OverflowError) as exc:
+    except (ValueError, MemoryBudgetError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

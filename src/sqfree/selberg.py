@@ -111,14 +111,14 @@ class _LocalData:
         return sum(terms) if self.exact else math.fsum(terms)
 
 
-def normalizing_sum(y: float, coprime_to: int, offsets, *, exact: bool = True) -> Number:
+def normalizing_sum(y: float, coprime_to: int, offsets) -> Fraction:
     """Sum of the local density ratios u(k)/(k^2 - ...) products over
     squarefree k <= y coprime to the given modulus; equals 1 at y = 1."""
     l = as_offsets(offsets)
     yi = math.floor(y)
     if yi < 1:
         raise ValueError("y must be at least 1")
-    data = _LocalData(l, yi, exact)
+    data = _LocalData(l, yi, exact=True)
     return data.normalizing_sum(yi, int(coprime_to))
 
 
@@ -358,12 +358,8 @@ class MomentBounds:
     applicable: bool               # caps proven only for nu <= 2
 
 
-def weight_moment_bounds(system: SelbergSystem, r: Optional[int] = None,
-                         level: Optional[float] = None) -> MomentBounds:
-    if r is None:
-        r = system.r
-    if level is None:
-        level = system.level
+def weight_moment_bounds(system: SelbergSystem) -> MomentBounds:
+    r, level = system.r, system.level
     moment = squarefree_moment(r, level)
     cap = moment_cap(r, level)
     nu = 1.0 + r / math.log(level)

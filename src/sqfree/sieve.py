@@ -95,8 +95,6 @@ def count_squarefree(x: int) -> int:
     if x < 1 or x > MAX_SUPPORTED:
         raise ValueError("x must lie in [1, 2^62]")
     s = math.isqrt(x)
-    if s < 2:
-        return x
     mu = mobius_up_to(s).astype(np.int64)
     d = np.arange(1, s + 1, dtype=np.int64)
     return int(np.sum(mu[1:] * (x // (d * d))))

@@ -44,10 +44,8 @@ def test_offsets_validation():
         OffsetTuple((-1, 0))
 
 
-def test_offsets_span_and_shift():
-    l = as_offsets([2, 5, 11])
-    assert l.span == 9
-    assert l.shifted(3).offsets == (5, 8, 14)
+def test_offsets_span():
+    assert as_offsets([2, 5, 11]).span == 9
 
 
 # ------------------------------------------------------- squarefull radical
@@ -348,6 +346,14 @@ def test_trial_division_matches_naive_factoring(n):
     else:
         with pytest.raises(ValueError):
             squarefree_prime_factors(n)
+
+
+def test_trial_division_returns_when_the_copy_covers_the_root(monkeypatch):
+    # 3847 is prime, isqrt(3847) = 62: every prime below 64 is tried and
+    # none passes the root, so the copy's end ends the division unchanged
+    _fresh_trial_copy(monkeypatch)
+    assert squarefree_prime_factors(3847) == [3847]
+    assert arith._trial_primes[0] == 64
 
 
 def test_a_late_small_trial_copy_never_replaces_a_larger_one(monkeypatch):

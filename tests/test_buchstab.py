@@ -206,6 +206,15 @@ def test_cutoff_validation():
         buchstab_decompose((100, 10), [0], 10**6)
 
 
+def test_past_the_supported_range_is_a_value_error():
+    # x + h is inside 2^62 and the largest offset takes it past; the range
+    # check runs before any prime table is asked for
+    with pytest.raises(ValueError, match="supported range 2"):
+        count_square_hits((4611686018427387800, 100), [0, 1000], 2, 2, 10**6)
+    with pytest.raises(ValueError, match="supported range 2"):
+        buchstab_decompose((4611686018427387800, 100), [0, 1000], 5.0)
+
+
 def test_work_cap(monkeypatch):
     # 168 rows against a cap of 10, refused before either count or the main
     # term runs.

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sqfree.cli import COLUMNS, build_parser, main, run_command
+from sqfree.cli import build_parser, main, run_command
 from sqfree.sieve import SEGMENT_SIZE, count_tuples
 from sqfree import buchstab
 from sqfree.buchstab import SquareMultipleQuery, base_main_term, count_square_multiples
@@ -41,11 +43,13 @@ def test_count_accepts_underscores(capsys):
     assert parse_csv(out)[0]["x"] == "1000"
 
 
-def test_count_z_auto_means_default_level(capsys):
-    code, out, _ = run_cli(capsys, "count", "--x", "0", "--h", "10", "--offsets", "0",
-                           "--z", "auto")
-    assert code == 0
-    assert parse_csv(out)[0]["q"] == "7"
+def test_count_z_auto_is_a_usage_error(capsys):
+    # "auto" is a selberg level; count --z takes a number only
+    code, out, err = run_cli(capsys, "count", "--x", "0", "--h", "10", "--offsets", "0",
+                             "--z", "auto")
+    assert code == 2
+    assert out == ""
+    assert "argument --z: invalid float value: 'auto'" in err
 
 
 def test_density_command(capsys):
@@ -73,6 +77,26 @@ def test_selberg_command_auto_level(capsys):
     row = parse_csv(out)[0]
     assert float(row["form_value"]) >= int(row["exact_count"])
     assert row["certified"] == "true"
+
+
+def test_selberg_auto_level_not_above_2_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "selberg", "--x", "100", "--h", "10", "--offsets", "0", "--z", "auto"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: automatic sieve level 1.63153 is not above 2; pass --z explicitly\n"
+
+
+def test_selberg_json_writes_a_non_finite_reference_as_null(capsys):
+    # h < 16 has no excess exponent, so reference_rhs is nan
+    code, out, _ = run_cli(
+        capsys, "selberg", "--x", "100", "--h", "10", "--offsets", "0", "--z", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    assert '"reference_rhs": null' in out
+    assert json.loads(out)[0]["reference_rhs"] is None
 
 
 def test_selberg_explicit_level(capsys):
@@ -138,10 +162,21 @@ BUCHSTAB_RECORDED = [
 def test_buchstab_output_is_byte_identical_to_the_record(capsys, argv, csv_row, json_digest):
     code, out, _ = run_cli(capsys, "buchstab", *argv.split())
     assert code == 0
-    assert out == ",".join(COLUMNS["buchstab"]) + "\n" + csv_row + "\n"
+    header = ("x,h,offsets,lambda0,base_count,base_main,base_error,divisor_cap,"
+              "removed_total,removed_cap,exact_count,reconciliation,ledger_rows")
+    assert out == header + "\n" + csv_row + "\n"
     code, out, _ = run_cli(capsys, "buchstab", *argv.split(), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == json_digest
+
+
+def test_buchstab_past_the_supported_range_exits_2_with_the_range_message(capsys):
+    # x + h is inside 2^62, the largest offset takes it past
+    code, out, err = run_cli(capsys, "buchstab", "--x", "4611686018427387800", "--h", "100",
+                             "--offsets", "0,100", "--lambda0", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: window end plus largest offset exceeds the supported range 2^62\n"
 
 
 def test_buchstab_work_cap_reject_is_unchanged(capsys, monkeypatch):
@@ -231,6 +266,17 @@ def test_sweep_degenerate_pattern_has_empty_ratio(capsys):
     assert row["q"] == "0"
     assert row["density_mid"] == "0"
     assert row["ratio"] == "" and row["excess_stat"] == ""
+
+
+def test_sweep_short_window_has_empty_excess_columns(capsys):
+    # the excess exponent is defined from h = 16 on
+    code, out, _ = run_cli(capsys, "sweep", "--x", "1000", "--h", "15,16", "--offsets", "0",
+                           "--prime-cutoff", "1000")
+    assert code == 0
+    short, first = parse_csv(out)
+    assert short["ratio"] != ""
+    assert short["excess_exponent"] == "" and short["excess_stat"] == ""
+    assert first["excess_exponent"] != "" and first["excess_stat"] != ""
 
 
 def test_sweep_multiple_patterns(capsys):
@@ -459,10 +505,18 @@ def test_module_entry_point():
 
 # ------------------------------------------------------------- README
 
-def _readme_examples():
+def _readme_section(heading):
+    # From the heading to the next heading of any level
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return text.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+
+
+def _readme_block(heading, language):
+    return _readme_section(heading).split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_examples():
+    block = _readme_block("## Command line", "sh")
     return [line for line in block.splitlines() if line.strip()]
 
 
@@ -481,3 +535,38 @@ def test_readme_example_runs(capsys, line):
     if comment.strip():
         column, value = (part.strip() for part in comment.split("="))
         assert parse_csv(out)[0][column] == value
+
+
+def test_readme_library_tour_runs():
+    # Each expression whose comment ends in a literal must give that value.
+    block = _readme_block("## Library quick tour", "python")
+    lines = block.splitlines()
+    namespace = {}
+    checked = []
+    for statement in ast.parse(block).body:
+        code = compile(ast.Module([statement], type_ignores=[]), "README.md", "exec")
+        if not isinstance(statement, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        comment = lines[statement.lineno - 1].partition("#")[2].split() or [""]
+        try:
+            expected = ast.literal_eval(comment[-1])
+        except (ValueError, SyntaxError):
+            continue
+        assert value == expected and type(value) is type(expected), comment
+        checked.append(expected)
+    assert checked == [61, True, 0]
+
+
+def test_readme_csv_schemas_match_each_command(capsys):
+    bullets = re.findall(r"^\* `(\w+)`: `([\w,]+)`$", _readme_section("### CSV schemas"),
+                         flags=re.MULTILINE)
+    assert {command for command, _ in bullets} == set(SMALL_RUNS)
+    for command, schema in bullets:
+        code, out, _ = run_cli(capsys, *SMALL_RUNS[command])
+        assert code == 0
+        assert out.split("\n", 1)[0] == schema, command
+        code, out, _ = run_cli(capsys, *SMALL_RUNS[command], "--format", "json")
+        assert code == 0
+        assert ",".join(json.loads(out)[0]) == schema, command
