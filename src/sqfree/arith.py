@@ -213,13 +213,18 @@ def is_tuple_squarefree(n: int, offsets) -> bool:
     return all(squarefull_radical(n + off) == 1 for off in l.offsets)
 
 
+def _congruence_classes(offsets: OffsetTuple, p: int) -> tuple[int, list[int]]:
+    """p^2 and the sorted residues of n modulo p^2 with p^2 | n + some offset."""
+    p2 = p * p
+    return p2, sorted({(-off) % p2 for off in offsets.offsets})
+
+
 def residue_class_count(p: int, offsets) -> int:
     """Number of distinct residues of the offsets modulo p**2."""
     l = as_offsets(offsets)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    p2 = p * p
-    return len({off % p2 for off in l.offsets})
+    return len(_congruence_classes(l, p)[1])
 
 
 def residue_class_counts(primes: np.ndarray, offsets) -> list[int]:
@@ -249,12 +254,10 @@ def squarefree_prime_factors(d: int) -> list[int]:
 
 
 def residue_class_count_squarefree(d: int, offsets) -> int:
-    """Multiplicative extension of residue_class_count over squarefree d."""
+    """Multiplicative extension of residue_class_count over squarefree d; the
+    factors of squarefree_prime_factors are prime, so none is tested again."""
     l = as_offsets(offsets)
-    result = 1
-    for p in squarefree_prime_factors(d):
-        result *= residue_class_count(p, l)
-    return result
+    return math.prod(len(_congruence_classes(l, p)[1]) for p in squarefree_prime_factors(d))
 
 
 def mobius_up_to(n: int) -> np.ndarray:

@@ -231,10 +231,13 @@ class SquareMultipleQuery:
 
     def __post_init__(self):
         Window(self.x, self.h)  # the window checks and their messages
-        if self.d_lo < 1:
-            raise ValueError("d_lo must be at least 1")
-        if self.d_lo > self.d_hi:
-            raise ValueError("d_lo must not exceed d_hi")
+        # NaN fails both comparisons, so it gets the finiteness message
+        if not 1 <= self.d_lo < math.inf:
+            raise ValueError("d_lo must be at least 1" if self.d_lo < 1
+                             else f"d_lo must be finite, not {self.d_lo}")
+        if not self.d_lo <= self.d_hi < math.inf:
+            raise ValueError("d_lo must not exceed d_hi" if self.d_lo > self.d_hi
+                             else f"d_hi must be finite, not {self.d_hi}")
 
 
 def count_square_multiples(query: SquareMultipleQuery) -> int:

@@ -65,7 +65,7 @@ class _LocalData:
         self.offsets = as_offsets(offsets)
         self.zi = zi
         self.exact = exact
-        one = Fraction(1) if exact else 1.0
+        self.one = one = Fraction(1) if exact else 1.0
         self.u_prime: dict[int, int] = {}
         local = [None] * (zi + 1)
         inv_local = [None] * (zi + 1)
@@ -76,12 +76,10 @@ class _LocalData:
                     f"offsets cover all residues modulo {q}^2; system not constructible"
                 )
             self.u_prime[q] = u
-            if exact:
-                local[q] = Fraction(u, q * q - u)
-                inv_local[q] = Fraction(q * q, q * q - u)
-            else:
-                local[q] = u / (q * q - u)
-                inv_local[q] = q * q / (q * q - u)
+            # one * u and one * q * q are exact floats (q^2 < 2^53): each float
+            # quotient is correctly rounded, as int / int is
+            local[q] = one * u / (q * q - u)
+            inv_local[q] = one * q * q / (q * q - u)
         # multiplicative tables over squarefree k <= zi (None = not squarefree)
         g = [None] * (zi + 1)
         inv_prod = [None] * (zi + 1)
@@ -165,7 +163,7 @@ def optimal_weights(level: float, offsets, *, exact: Optional[bool] = None,
     for d in data.squarefree_values():
         part = data.normalizing_sum(_floor_ratio(level, d), d)
         weights[d] = data.mobius[d] * data.inv_prod[d] * part / norm
-    form_min = (Fraction(1) if exact else 1.0) / norm
+    form_min = data.one / norm
     mass = math.fsum(abs(float(w)) * data.u_val[d] for d, w in weights.items())
     inv_upper = 1.0 / est.lower
     return SelbergSystem(

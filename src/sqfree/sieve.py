@@ -19,6 +19,7 @@ import numpy as np
 
 from .arith import (
     MAX_SUPPORTED,
+    _congruence_classes,
     _icbrt,
     as_offsets,
     mobius_up_to,
@@ -299,8 +300,9 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     levels = _normalize_levels(z, w, l)
     tops = []
     for off, level in zip(l.offsets, levels):
-        if level < 2.0:
-            raise ValueError("sieve levels must be at least 2")
+        if not 2.0 <= level < math.inf:  # NaN fails too
+            raise ValueError("sieve levels must be at least 2" if level < 2.0
+                             else f"sieve level z must be finite, not {level}")
         # Only m < level with m^2 <= window end + offset matter.
         tops.append(min(math.isqrt(w.end + off), math.ceil(level) - 1))
     bound = _cofactor_bound(w.end + l.offsets[-1])
@@ -326,11 +328,6 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
         return sum(f.result() for f in [pool.submit(worker) for _ in range(workers)])
 
 
-def _congruence_classes(offsets, p: int) -> tuple[int, list[int]]:
-    p2 = p * p
-    return p2, sorted({(-off) % p2 for off in offsets.offsets})
-
-
 # Elements per window-walk segment (8 bytes each).  Of 2^12 .. 2^20, 2^16
 # and above timed within 30% of each other on windows of 1e4 .. 1e7; 2^16
 # keeps the buffer at 0.5 MiB.
@@ -338,21 +335,28 @@ SUPPORT_SEGMENT = 1 << 16
 _INT64_MAX = (1 << 63) - 1
 
 
-def _segment_products(w: Window, l, primes: list[int]):
-    """Yield, per SUPPORT_SEGMENT piece of the window, D(n) as an int64
-    array and the list of the D(n) past int64, which are 0 in the array.
+def window_products(window, offsets, primes) -> dict[int, int]:
+    """{D: number of n in the window with D(n) = D}, where D(n) is the
+    product of the given primes p with p^2 dividing some n + offset.
 
-    D(n) divides the product of the primes, and D(n)^2 divides the product
-    of the n + offset, so D fits in int64 unless both pass 2^63 (r >= 3 and
-    many primes).  Then each multiply is checked: a row that would pass
-    2^63 is set to 0, which stays 0, and is rebuilt with Python ints.  The
-    array is one reused buffer, overwritten by the next segment.
+    The one D(n) walk: per SUPPORT_SEGMENT piece of the window, one reused
+    int64 buffer multiplies each prime into its residue classes and is
+    tallied with np.unique.  D(n) divides the product of the primes, and
+    D(n)^2 divides the product of the n + offset, so D fits in int64 unless
+    both pass 2^63 (r >= 3 and many primes).  Then each multiply is checked:
+    a row that would pass 2^63 is set to 0, which stays 0, and its D(n) is
+    rebuilt with Python ints.
     """
+    w = as_window(window)
+    l = as_offsets(offsets)
+    _require_range(w, l)
+    primes = [int(p) for p in primes]
     class_lists = [_congruence_classes(l, p) for p in primes]
     checked = (math.isqrt(math.prod(w.end + off for off in l.offsets)) > _INT64_MAX
                and math.prod(primes) > _INT64_MAX)
     size = min(SUPPORT_SEGMENT, w.h)
     buf = np.empty(size, dtype=np.int64)
+    products = Counter()
     for base, length in _segments(w.x, w.h, size):
         d = buf[:length]
         d.fill(1)
@@ -362,28 +366,14 @@ def _segment_products(w: Window, l, primes: list[int]):
                 if checked:
                     rows[rows > _INT64_MAX // p] = 0
                 rows *= p
-        big = []
+        values, counts = np.unique(d, return_counts=True)
+        products.update(dict(zip(values.tolist(), counts.tolist())))
         if checked:
             for k in np.flatnonzero(d == 0).tolist():
                 n = base + 1 + k
-                big.append(math.prod(p for p, (p2, classes) in zip(primes, class_lists)
-                                     if n % p2 in classes))
-        yield d, big
-
-
-def window_products(window, offsets, primes) -> dict[int, int]:
-    """{D: number of n in the window with D(n) = D}, where D(n) is the
-    product of the given primes p with p^2 dividing some n + offset."""
-    w = as_window(window)
-    l = as_offsets(offsets)
-    _require_range(w, l)
-    products = Counter()
-    for d, big in _segment_products(w, l, [int(p) for p in primes]):
-        values, counts = np.unique(d, return_counts=True)
-        products.update(dict(zip(values.tolist(), counts.tolist())))
-        if big:
-            del products[0]
-            products.update(big)
+                products[math.prod(p for p, (p2, classes) in zip(primes, class_lists)
+                                   if n % p2 in classes)] += 1
+    products.pop(0, None)  # D(n) >= 1: a 0 marks a rebuilt row
     return dict(products)
 
 
@@ -409,9 +399,9 @@ def count_congruent(d: int, window, offsets) -> int:
 
     For squarefree d this is the count of n whose squarefull product over the
     pattern is divisible by d.  The solutions form u(d) residue classes
-    modulo d^2, each counted in O(1); past CLASS_ENUMERATION_CAP classes the
-    window is walked instead, computing D(n) over the primes of d segment by
-    segment and counting the n with D(n) = d.
+    modulo d^2, each counted in O(1).  Past CLASS_ENUMERATION_CAP classes
+    the count is read from the one D(n) walk, ``window_products`` over the
+    primes of d: n counts exactly when D(n) = d.
     """
     d = int(d)
     w = as_window(window)
@@ -423,8 +413,7 @@ def count_congruent(d: int, window, offsets) -> int:
     class_lists = [_congruence_classes(l, p) for p in factors]
     if math.prod(len(classes) for _, classes in class_lists) <= CLASS_ENUMERATION_CAP:
         return _count_congruent_classes(w, class_lists)
-    return sum(int(np.count_nonzero(row == d)) + big.count(d)
-               for row, big in _segment_products(w, l, factors))
+    return window_products(w, l, factors).get(d, 0)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,26 @@ def test_ledger_matches_the_oracle_random(data):
     assert report.ledger == _oracle_ledger(x, h, offs, cutoff)
 
 
+@pytest.mark.parametrize("window, offs, cutoff", [
+    ((10**7, 10**5), [0, 2], 5.0),
+    ((10**6, 10**5), [0, 1], 3.0),
+    ((10**8, 10**5), [0, 6], 10.0),
+    ((10**6, 4 * 10**5), [0, 2, 6, 8], 10.0),
+    ((12345, 1000), [0, 1, 2], 2.5),
+    ((10**9, 10**4), [0, 2, 6], 50.0),
+])
+def test_each_coordinate_rows_equal_a_mixed_level_count_difference(window, offs, cutoff):
+    # S_i puts the first i coordinates at the cutoff and the rest at the full
+    # level, so S_0 is the exact count and S_r the base count.  Coordinate
+    # i + 1's rows remove exactly the n that S_i keeps and S_{i+1} adds.
+    report = buchstab_decompose(window, offs, cutoff)
+    r, full = len(offs), sieve.full_level(window, offs)
+    s = [count_tuples(window, offs, z=[cutoff] * i + [full] * (r - i)) for i in range(r + 1)]
+    assert (s[0], s[r]) == (report.exact_count, report.base_count)
+    for i, (_, removed) in enumerate(report.tallies):
+        assert int(removed.sum()) == s[i + 1] - s[i]
+
+
 def test_ledger_rows_are_counted_without_building_them():
     report = buchstab_decompose((10**9, 10**4), [0, 2, 6], 5.0)
     assert report.ledger_rows == 3 * (len(naive_primes(math.isqrt(10**9 + 10**4))) - 2)
@@ -346,6 +366,12 @@ def test_square_multiples_validation():
         SquareMultipleQuery(100, 20, 11, 10)
     with pytest.raises(ValueError):
         SquareMultipleQuery(100, 0, 1, 10)
+    for d_lo, d_hi, message in [(math.nan, 10, "d_lo must be finite, not nan"),
+                                (math.inf, 10, "d_lo must be finite, not inf"),
+                                (5, math.nan, "d_hi must be finite, not nan"),
+                                (5, math.inf, "d_hi must be finite, not inf")]:
+        with pytest.raises(ValueError, match=message):
+            SquareMultipleQuery(100, 20, d_lo, d_hi)
 
 
 @given(st.data())

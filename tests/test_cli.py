@@ -461,6 +461,35 @@ def test_thread_count_out_of_range_exits_2_before_any_pool(capsys, monkeypatch, 
     assert "threads must lie in [1, 64]" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--x", "100", "--h", "10", "--offsets", "0", "--z", "nan"],
+     "sieve level z must be finite, not nan"),
+    (["count", "--x", "100", "--h", "10", "--offsets", "0", "--z", "inf"],
+     "sieve level z must be finite, not inf"),
+    (["squaremul", "--x", "100", "--h", "20", "--d-lo", "nan", "--d-hi", "10"],
+     "d_lo must be finite, not nan"),
+    (["squaremul", "--x", "100", "--h", "20", "--d-lo", "inf", "--d-hi", "10"],
+     "d_lo must be finite, not inf"),
+    (["squaremul", "--x", "100", "--h", "20", "--d-lo", "5", "--d-hi", "nan"],
+     "d_hi must be finite, not nan"),
+    (["squaremul", "--x", "100", "--h", "20", "--d-lo", "5", "--d-hi", "inf"],
+     "d_hi must be finite, not inf"),
+    (["selberg", "--x", "100", "--h", "10", "--offsets", "0", "--z", "nan"],
+     "sieve level must exceed 2"),
+    (["selberg", "--x", "100", "--h", "10", "--offsets", "0", "--z", "inf"],
+     "sieve level above the weight-table cap 10000"),
+    (["buchstab", "--x", "100", "--h", "10", "--offsets", "0", "--lambda0", "nan"],
+     "cutoff must lie in [2, 2*sqrt(window end + largest offset)]"),
+    (["buchstab", "--x", "100", "--h", "10", "--offsets", "0", "--lambda0", "inf"],
+     "cutoff must lie in [2, 2*sqrt(window end + largest offset)]"),
+])
+def test_non_finite_levels_and_bounds_exit_2_naming_the_argument(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_degenerate_selberg_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "selberg", "--x", "100", "--h", "50", "--offsets", "0,1,2,3", "--z", "10"

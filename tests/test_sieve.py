@@ -98,6 +98,9 @@ def test_count_tuples_level_validation():
         count_tuples((0, 10), [0], z=1.5)
     with pytest.raises(ValueError):
         count_tuples((0, 10), [0, 1], z=[3, 3, 3])
+    for level in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"sieve level z must be finite, not {level}"):
+            count_tuples((0, 10), [0, 1], z=[3, level])
 
 
 def test_count_tuples_matches_bruteforce_random():
