@@ -52,8 +52,9 @@ class MainTermEstimate:
 
 def base_main_term(offsets, cutoff: float) -> MainTermEstimate:
     l = as_offsets(offsets)
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    if not 2 <= cutoff < math.inf:  # NaN fails too
+        raise ValueError("cutoff must be at least 2" if cutoff < 2
+                         else f"cutoff must be finite, not {cutoff}")
     bound = math.ceil(cutoff) - 1  # primes strictly below the cutoff
     ps = primes_up_to(bound)
     us = residue_class_counts(ps, l)
@@ -81,13 +82,8 @@ def count_square_hits(window, offsets, coord: int, q_lo: float, q_hi: float) -> 
     if not 1 <= coord <= l.r:
         raise ValueError("coordinate index out of range")
     off = l.offsets[coord - 1]
-    bound = math.isqrt(w.end + off)
-    if bound < 2 or q_lo >= q_hi:
-        return 0
-    ps = primes_up_to(bound)
+    ps = primes_up_to(math.isqrt(w.end + off))
     qs = ps[(ps >= q_lo) & (ps < q_hi)]
-    if qs.size == 0:
-        return 0
     q2 = qs * qs
     lo = w.x + off
     return int(np.sum((lo + w.h) // q2 - lo // q2))
@@ -183,15 +179,14 @@ def buchstab_decompose(window, offsets, cutoff: float) -> BuchstabReport:
             # Strided primes lie below the placed ones; the smallest writes last.
             for t in range(min(split, top_i) - 1, -1, -1):
                 marks[i, (-m1) % strided[t]::strided[t]] = t
-        free = np.ones((l.r + 1, length), dtype=bool)  # free[i]: coordinates i.. squarefree
+        # Row (i, q) takes the n with no coordinate hit below the cutoff (the
+        # sentinel is above it) whose last hit coordinate is i, hit at q: so
+        # each n lands in at most one row, found walking the coordinates back.
+        open_ = marks.min(axis=0) >= lo
         for i in range(l.r - 1, -1, -1):
-            np.logical_and(free[i + 1], marks[i] == sentinel, out=free[i])
-        reduced = np.ones(length, dtype=bool)  # no earlier coordinate hit below the cutoff
-        for i, tally in enumerate(tallies):
-            row = marks[i] >= lo  # in a row, or squarefree
-            kept = marks[i][reduced & row & ~free[i] & free[i + 1]]
-            tally += np.bincount(kept - lo, minlength=tally.size)
-            reduced &= row
+            hit = marks[i] < sentinel
+            tallies[i] += np.bincount(marks[i][open_ & hit] - lo, minlength=tallies[i].size)
+            open_ &= ~hit
 
     for tally in tallies:
         tally.flags.writeable = False

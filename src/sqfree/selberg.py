@@ -30,11 +30,6 @@ LEVEL_CAP = 10_000.0
 EXACT_LEVEL_CAP = 100.0
 
 
-def _floor_ratio(level: float, d: int) -> int:
-    # float division can round across an integer; Fractions cannot
-    return int(Fraction(level) / d)
-
-
 def _squarefree_splits(n: int):
     """Yield (k, q, k // q) for every squarefree k in [2, n] in increasing
     order, q the smallest prime factor of k, so that a multiplicative table
@@ -58,8 +53,8 @@ def _squarefree_splits(n: int):
 
 
 class _LocalData:
-    """Per-(offsets, level) tables: residue counts and the multiplicative
-    local factors u(p) / (p^2 - u(p))."""
+    """Per-(offsets, level) tables for a level zi >= 1: residue counts and
+    the multiplicative local factors u(p) / (p^2 - u(p))."""
 
     def __init__(self, offsets, zi: int, exact: bool):
         self.offsets = as_offsets(offsets)
@@ -69,7 +64,7 @@ class _LocalData:
         self.u_prime: dict[int, int] = {}
         local = [None] * (zi + 1)
         inv_local = [None] * (zi + 1)
-        primes = primes_up_to(max(zi, 1))
+        primes = primes_up_to(zi)
         for q, u in zip(primes.tolist(), residue_class_counts(primes, self.offsets)):
             if u == q * q:
                 raise DegenerateTupleError(
@@ -85,11 +80,10 @@ class _LocalData:
         inv_prod = [None] * (zi + 1)
         u_val = [None] * (zi + 1)
         mob = [0] * (zi + 1)
-        if zi >= 1:
-            g[1] = one
-            inv_prod[1] = one
-            u_val[1] = 1
-            mob[1] = 1
+        g[1] = one
+        inv_prod[1] = one
+        u_val[1] = 1
+        mob[1] = 1
         for k, q, m in _squarefree_splits(zi):
             g[k] = g[m] * local[q]
             inv_prod[k] = inv_prod[m] * inv_local[q]
@@ -113,9 +107,9 @@ def normalizing_sum(y: float, coprime_to: int, offsets) -> Fraction:
     """Sum of the local density ratios u(k)/(k^2 - ...) products over
     squarefree k <= y coprime to the given modulus; equals 1 at y = 1."""
     l = as_offsets(offsets)
+    if not 1 <= y < math.inf:  # NaN fails too
+        raise ValueError("y must be at least 1" if y < 1 else f"y must be finite, not {y}")
     yi = math.floor(y)
-    if yi < 1:
-        raise ValueError("y must be at least 1")
     data = _LocalData(l, yi, exact=True)
     return data.normalizing_sum(yi, int(coprime_to))
 
@@ -161,7 +155,8 @@ def optimal_weights(level: float, offsets, *, exact: Optional[bool] = None,
     norm = data.normalizing_sum(zi, 1)
     weights = {}
     for d in data.squarefree_values():
-        part = data.normalizing_sum(_floor_ratio(level, d), d)
+        # floor(level / d) = floor(floor(level) / d) for integer d >= 1
+        part = data.normalizing_sum(zi // d, d)
         weights[d] = data.mobius[d] * data.inv_prod[d] * part / norm
     form_min = data.one / norm
     mass = math.fsum(abs(float(w)) * data.u_val[d] for d, w in weights.items())
@@ -191,6 +186,9 @@ def excess_exponent(h: float) -> float:
 
 def sieve_level(h: float, r: int) -> float:
     """Canonical level h^(1/3) * (log(h)/r)^(-r/3) for a window of length h."""
+    if not 1 < h < math.inf:  # NaN fails too
+        raise ValueError(f"h must exceed 1 for the canonical sieve level, not {h}" if h <= 1
+                         else f"h must be finite, not {h}")
     return h ** (1.0 / 3.0) * (math.log(h) / r) ** (-r / 3.0)
 
 
@@ -329,9 +327,10 @@ def squarefree_moment(r: int, level: float) -> int:
     """Exact sum of r^(number of prime factors) over squarefree d <= level."""
     if r < 1:
         raise ValueError("r must be at least 1")
+    if not 1 <= level < math.inf:  # NaN fails too
+        raise ValueError("level must be at least 1" if level < 1
+                         else f"level must be finite, not {level}")
     zi = math.floor(level)
-    if zi < 1:
-        raise ValueError("level must be at least 1")
     vals = [0] * (zi + 1)
     vals[1] = 1
     for k, _, m in _squarefree_splits(zi):

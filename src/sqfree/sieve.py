@@ -8,9 +8,9 @@ n + offset_i is squarefree".
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -289,7 +289,9 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     169, struck by strides for the squares from 17^2 below DENSE_LIMIT,
     cleared at its range of the strike array and counted.
     ``threads`` must lie in [1, MAX_THREADS]; at most one worker per segment
-    runs.
+    runs.  Of W workers, worker k counts segments k, k + W, k + 2W, ... into
+    its own buffer: the plan is read-only, so the workers share nothing
+    they write.
     """
     threads = int(threads)
     if not 1 <= threads <= MAX_THREADS:
@@ -308,24 +310,17 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     bound = _cofactor_bound(w.end + l.offsets[-1])
     size = min(SEGMENT_SIZE, w.h)
     plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound, size)
-    segments = _segments(w.x, w.h, size)
-    lock = threading.Lock()
-
-    def worker() -> int:
-        alive = np.empty(plan.sub, dtype=bool)
-        total = 0
-        while True:
-            with lock:
-                segment = next(segments, None)
-            if segment is None:
-                return total
-            total += _count_segment(alive, *segment, plan)
-
     workers = min(threads, -(-w.h // size))
+
+    def worker(k: int) -> int:
+        alive = np.empty(plan.sub, dtype=bool)
+        segments = itertools.islice(_segments(w.x, w.h, size), k, None, workers)
+        return sum(_count_segment(alive, *segment, plan) for segment in segments)
+
     if workers == 1:
-        return worker()
+        return worker(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(f.result() for f in [pool.submit(worker) for _ in range(workers)])
+        return sum(pool.map(worker, range(workers)))
 
 
 # Elements per window-walk segment (8 bytes each).  Of 2^12 .. 2^20, 2^16
@@ -408,8 +403,6 @@ def count_congruent(d: int, window, offsets) -> int:
     l = as_offsets(offsets)
     _require_range(w, l)
     factors = squarefree_prime_factors(d)
-    if d == 1:
-        return w.h
     class_lists = [_congruence_classes(l, p) for p in factors]
     if math.prod(len(classes) for _, classes in class_lists) <= CLASS_ENUMERATION_CAP:
         return _count_congruent_classes(w, class_lists)

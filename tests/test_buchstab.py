@@ -224,6 +224,12 @@ def test_cutoff_validation():
         buchstab_decompose((100, 10), [0], 1.5)
     with pytest.raises(ValueError):
         buchstab_decompose((100, 10), [0], 10**6)
+    # NaN fails both comparisons, so it gets the finiteness message
+    for cutoff, message in [(1.5, "cutoff must be at least 2"), (-math.inf, "at least 2"),
+                            (math.nan, "cutoff must be finite, not nan"),
+                            (math.inf, "cutoff must be finite, not inf")]:
+        with pytest.raises(ValueError, match=message):
+            base_main_term([0], cutoff)
 
 
 def test_past_the_supported_range_is_a_value_error():

@@ -482,12 +482,43 @@ def test_thread_count_out_of_range_exits_2_before_any_pool(capsys, monkeypatch, 
      "cutoff must lie in [2, 2*sqrt(window end + largest offset)]"),
     (["buchstab", "--x", "100", "--h", "10", "--offsets", "0", "--lambda0", "inf"],
      "cutoff must lie in [2, 2*sqrt(window end + largest offset)]"),
+    # argparse takes a separate "-inf" for an option; joined with "=" it is a value
+    (["count", "--x", "100", "--h", "10", "--offsets", "0", "--z=-inf"],
+     "sieve levels must be at least 2"),
+    (["squaremul", "--x", "100", "--h", "20", "--d-lo=-inf", "--d-hi", "10"],
+     "d_lo must be at least 1"),
+    (["selberg", "--x", "100", "--h", "1", "--offsets", "0", "--z", "auto"],
+     "h must exceed 1 for the canonical sieve level, not 1"),
 ])
 def test_non_finite_levels_and_bounds_exit_2_naming_the_argument(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_every_command_keeps_the_exit_contract_on_edge_windows(capsys):
+    # Edge windows (x at 0 and near 2^62, h from 1 to 16) and prime cutoffs
+    # below the tuple size: every run exits 0 or 2, and no exception escapes.
+    runs = []
+    for offsets in ["0", "0,2", "0,1,2,3"]:
+        for x in ["0", "1", "4611686018427387000"]:
+            for h in ["1", "2", "15", "16"]:
+                window = ["--x", x, "--h", h]
+                runs += [["count", *window, "--offsets", offsets],
+                         ["count", *window, "--offsets", offsets, "--z", "2"],
+                         ["selberg", *window, "--offsets", offsets, "--z", "auto"],
+                         ["selberg", *window, "--offsets", offsets, "--z", "3"],
+                         ["buchstab", *window, "--offsets", offsets, "--lambda0", "2"],
+                         ["squaremul", *window, "--d-lo", "1", "--d-hi", "1e19"],
+                         ["sweep", *window, "--offsets", offsets, "--prime-cutoff", "1000"]]
+        for cutoff in ["1", "2", "8", "1000"]:
+            runs.append(["density", "--offsets", offsets, "--prime-cutoff", cutoff])
+    assert len(runs) == 264
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2), (argv, code, err)
+        assert (out == "") == (code == 2), (argv, out, err)
 
 
 def test_degenerate_selberg_exit_code(capsys):

@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -447,6 +448,18 @@ def test_sieve_level_value():
     assert sieve_level(10**6, 1) == pytest.approx(41.67519945116069, rel=1e-12)
 
 
+@pytest.mark.parametrize("h, message", [
+    (1, "h must exceed 1 for the canonical sieve level, not 1"),
+    (0.5, "h must exceed 1 for the canonical sieve level, not 0.5"),
+    (math.nan, "h must be finite, not nan"),
+    (math.inf, "h must be finite, not inf"),
+])
+def test_sieve_level_needs_a_finite_length_above_1(h, message):
+    # log(1) = 0 to a negative power, and log(0.5) < 0 to a fractional one
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sieve_level(h, 1)
+
+
 def test_upper_bound_parameters_reports():
     params = upper_bound_parameters(10**6, 1)
     assert params.level == pytest.approx(41.675199, rel=1e-6)
@@ -475,6 +488,18 @@ def test_upper_bound_parameters_side_condition_reporting():
 
 
 # ------------------------------------------------------- moment bounds
+
+@pytest.mark.parametrize("call, message", [
+    (lambda v: normalizing_sum(v, 1, [0]), "y must be"),
+    (lambda v: squarefree_moment(2, v), "level must be"),
+])
+def test_lower_bounds_name_non_finite_values(call, message):
+    # NaN fails both comparisons, so it gets the finiteness message
+    for value, tail in [(0.5, "at least 1"), (-math.inf, "at least 1"),
+                        (math.nan, "finite, not nan"), (math.inf, "finite, not inf")]:
+        with pytest.raises(ValueError, match=f"^{message} {tail}$"):
+            call(value)
+
 
 def test_squarefree_moment_values():
     assert squarefree_moment(1, 2.5) == 2

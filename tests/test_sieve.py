@@ -181,8 +181,9 @@ def test_count_tuples_thread_independence(monkeypatch):
 
 
 def test_workers_share_segments_without_loss_under_contention(monkeypatch):
-    # Eight workers on two cores pull 3125 segments from one generator with
-    # a very short switch interval: a lost or repeated segment changes the sum.
+    # Eight workers on two cores each count every eighth of 3125 segments
+    # with a very short switch interval: a lost or repeated segment changes
+    # the sum.
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 64)
     w, offs = (10**6, 200_000), [0, 1, 5]
     base = count_tuples(w, offs)
@@ -194,6 +195,25 @@ def test_workers_share_segments_without_loss_under_contention(monkeypatch):
         assert time.perf_counter() - start < 60
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4, 5])
+def test_workers_count_every_segment_exactly_once(monkeypatch, threads):
+    # 28 segments, the last 1 long: 3 and 5 workers get unequal shares.
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 37)
+    counted = []
+    kernel = sieve._count_segment
+
+    def spy(alive, base, length, plan):
+        counted.append((base, length))
+        return kernel(alive, base, length, plan)
+
+    monkeypatch.setattr(sieve, "_count_segment", spy)
+    w, offs = (10**6, 1000), [0, 2]
+    assert count_tuples(w, offs, threads=threads) == naive_count_tuples(*w, offs)
+    expected = list(_segments(10**6, 1000, 37))
+    assert len(expected) == 28
+    assert sorted(counted) == expected
 
 
 def test_count_tuples_rejects_thread_counts_out_of_range():
