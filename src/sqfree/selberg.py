@@ -15,6 +15,7 @@ arithmetic; larger levels fall back to floats with exactly rounded sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -178,6 +179,8 @@ def optimal_weights(level: float, offsets, *, exact: Optional[bool] = None,
 def excess_exponent(h: float) -> float:
     """The exponent drift 2 log log log h / log log h used in upper-bound
     excess reporting."""
+    if not -math.inf < h < math.inf:  # NaN fails too
+        raise ValueError(f"h must be finite, not {h}")
     llh = math.log(math.log(h))
     if llh <= 0:
         raise ValueError("h is too small for the excess exponent")
@@ -189,6 +192,8 @@ def sieve_level(h: float, r: int) -> float:
     if not 1 < h < math.inf:  # NaN fails too
         raise ValueError(f"h must exceed 1 for the canonical sieve level, not {h}" if h <= 1
                          else f"h must be finite, not {h}")
+    if not (isinstance(r, numbers.Integral) and r >= 1):
+        raise ValueError(f"r must be an integer at least 1, not {r!r}")
     return h ** (1.0 / 3.0) * (math.log(h) / r) ** (-r / 3.0)
 
 

@@ -41,13 +41,17 @@ SUB_BLOCK = 1 << 20
 # 2^12 .. 2^16, 2^14 .. 2^16 timed alike and faster than 2^12 and 2^13.
 DENSE_LIMIT = 1 << 15
 # Pre-sieve groups, one tile each; a tile's period is the product of its
-# group's prime squares (44100 and 20449).  The strides start at 17.
+# group's prime squares less those of the wheel's primes (44100 and 20449,
+# or 1225 and 20449 with the wheel).  The strides start at 17.
 PRESIEVE_GROUPS = ((2, 3, 5, 7), (11, 13))
-PRESIEVE_PERIODS = tuple(math.prod(p * p for p in group) for group in PRESIEVE_GROUPS)
 # Elements per pre-sieve block: a sub-block is filled block by block with
 # one logical_and of the two tiles.  2^17 blocks slowed 1e6 windows; 2^15
 # did not.
 PRESIEVE_BLOCK = 1 << 15
+# The wheel modulus 4*9 of windows of a segment or more: n = 36k + a, and
+# for offsets 0; 0,1; 0,1,2; 0,2,6,8, 4 or 9 strikes 12, 22, 30 and 26 of
+# the 36 classes a before any other prime is read.
+WHEEL = 36
 # Most worker threads count_tuples accepts.
 MAX_THREADS = 64
 
@@ -165,46 +169,71 @@ def _cofactor_bound(end: int) -> int:
 class _Plan:
     """Per-call tables the segment kernel reads; shared by every worker."""
 
-    tiles: tuple      # per PRESIEVE_GROUPS entry, period + block read-only flags: False
-                      # where some p of the group, p <= top, has p^2 | n + offset
+    wheel: int        # W: the dense phase runs over n = W*k + a, k by k, per live class a
+    live: tuple       # live[a], a < W: no coordinate has p^2 | a + offset for a p | W, p <= top
+    tiles: tuple      # per PRESIEVE_GROUPS entry without the primes of W, period + block
+                      # read-only flags: entry i is False where some p of the group,
+                      # p <= top, has p^2 | n + offset for the n = W*i modulo the period
+    periods: tuple    # the tiles' periods, the products of their groups' p^2
+    inverse: int      # W^-1 modulo the product of the periods: n*inverse is n's tile phase
     block: int        # elements per pre-sieve block
     sub: int          # elements per sub-block, the length of each worker's buffer
-    dense: tuple      # (offset, [p^2, ...]) for the primes from 17 with p^2 < DENSE_LIMIT
+    dense: tuple      # (offset, [(p^2, W^-1 mod p^2), ...]) for the primes from 17 with
+                      # p^2 < DENSE_LIMIT
     sparse: tuple     # (offset, p^2 array) for the next primes with p^2 < segment length
     placed: tuple     # (offset, p^2 array) for the rest up to min(top, bound)
     cofactor: tuple   # (offset, top) for coordinates whose squares m^2 go past the bound
     bound: int        # the cofactor bound
 
 
-def _plan(offsets, tops, primes: np.ndarray, bound: int, size: int) -> _Plan:
+def _wheel(h: int) -> int:
+    """The wheel modulus W for a window of h elements: WHEEL once the window
+    fills a segment, else 1.  Each live class costs a fixed 30-65 us per
+    segment in Python (its strides, tile blocks and cuts); from h = 1.6e7
+    on, the dense work the wheel saves outweighs it at every r and x timed
+    (ROADMAP "Settled")."""
+    return WHEEL if h >= SEGMENT_SIZE else 1
+
+
+def _plan(offsets, tops, primes: np.ndarray, bound: int, size: int, wheel: int) -> _Plan:
     # ``primes`` runs to min(max(tops), bound); each coordinate takes the
     # prefix up to its own top, so the first six are 2, 3, 5, 7, 11, 13.
     # Past the dense primes, one read-only array of squares serves every
     # coordinate: those below the segment length are sparse, and the rest
-    # hit a segment of at most size elements at most once.
+    # hit a segment of at most size elements at most once.  The primes of
+    # the wheel (2 and 3 when W = 36, whose squares divide W) leave the
+    # tiles and decide which classes a of n mod W are live instead.
     pre = sum(len(group) for group in PRESIEVE_GROUPS)
 
     def split(limit):
         return max(pre, int(np.searchsorted(primes, math.isqrt(limit - 1), side="right")))
 
-    sub = min(SUB_BLOCK, size)
+    groups = [[p for p in group if wheel % p] for group in PRESIEVE_GROUPS]
+    wheel_primes = [p for group in PRESIEVE_GROUPS for p in group if wheel % p == 0]
+    periods = tuple(math.prod(p * p for p in group) for group in groups)
+    inverse = pow(wheel, -1, math.prod(periods))
+    sub = min(SUB_BLOCK, -(-size // wheel))
     dense_end, sparse_end = split(min(DENSE_LIMIT, size)), split(size)
+    strides = [(p * p, pow(wheel, -1, p * p)) for p in primes[pre:dense_end].tolist()]
     squares = primes[dense_end:] * primes[dense_end:]
     squares.flags.writeable = False
     # A period and a block hold one block from any phase; every p^2 of a
     # group divides its tile's period, so the marks repeat with it.
     block = min(PRESIEVE_BLOCK, sub)
-    tiles = tuple(np.ones(period + block, dtype=bool) for period in PRESIEVE_PERIODS)
+    tiles = tuple(np.ones(period + block, dtype=bool) for period in periods)
+    live = np.ones(wheel, dtype=bool)
     dense, sparse, placed, cofactor = [], [], [], []
     for off, top in zip(offsets, tops):
-        for group, tile in zip(PRESIEVE_GROUPS, tiles):
+        for group, tile in zip(groups, tiles):
             for p in group:
                 if p <= min(top, bound):
-                    tile[(-off) % (p * p)::p * p] = False
+                    tile[(-off * inverse) % (p * p)::p * p] = False
+        for p in wheel_primes:
+            if p <= min(top, bound):
+                live[(-off) % (p * p)::p * p] = False
         count = int(np.searchsorted(primes, top, side="right"))
-        small = primes[pre:min(count, dense_end)].tolist()
-        if small:
-            dense.append((off, [p * p for p in small]))
+        if min(count, dense_end) > pre:
+            dense.append((off, strides[:min(count, dense_end) - pre]))
         if min(count, sparse_end) > dense_end:
             sparse.append((off, squares[:min(count, sparse_end) - dense_end]))
         if count > sparse_end:
@@ -213,13 +242,16 @@ def _plan(offsets, tops, primes: np.ndarray, bound: int, size: int) -> _Plan:
             cofactor.append((off, top))
     for tile in tiles:
         tile.flags.writeable = False
-    return _Plan(tiles, block, sub, tuple(dense), tuple(sparse), tuple(placed),
-                 tuple(cofactor), bound)
+    return _Plan(wheel, tuple(live.tolist()), tiles, periods, inverse, block, sub, tuple(dense),
+                 tuple(sparse), tuple(placed), tuple(cofactor), bound)
 
 
 def _sparse_strikes(base: int, length: int, plan: _Plan) -> np.ndarray:
-    """Sorted indices into (base, base+length] that the sparse and placed
-    primes and the cofactor pass strike, repeats kept."""
+    """The indices s into (base, base+length] that the sparse and placed
+    primes and the cofactor pass strike, repeats kept, as sorted keys
+    (s mod W)*span + s // W with span = ceil(length / W): the strikes of
+    each class of s mod W in one run, in order of k = s // W.  With W = 1
+    the key is s."""
     strikes = [np.empty(0, dtype=np.int64)]
     for off, squares in plan.sparse:
         # Prime j strikes start_j + i*p_j^2 for i < counts_j, entry first_j + i
@@ -239,33 +271,42 @@ def _sparse_strikes(base: int, length: int, plan: _Plan) -> np.ndarray:
         # n that q strikes anyway.
         m1 = base + off + 1
         strikes.append(square_multiples(m1 - 1, m1 - 1 + length, plan.bound, top) - m1)
-    strikes = np.concatenate(strikes)
-    strikes.sort()
-    return strikes
+    k, a = np.divmod(np.concatenate(strikes), plan.wheel)
+    keys = a * -(-length // plan.wheel) + k
+    keys.sort()
+    return keys
 
 
 def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> int:
-    """Survivors among n in (base, base+length], counted one sub-block of
-    ``alive`` at a time."""
-    strikes = _sparse_strikes(base, length, plan)
-    starts = range(0, length, plan.sub)
-    cuts = np.searchsorted(strikes, [*starts, length]).tolist()
-    (tile_a, tile_b), (period_a, period_b) = plan.tiles, PRESIEVE_PERIODS
+    """Survivors among n in (base, base+length], counted class by class of
+    n mod W, one sub-block of ``alive`` at a time, element j of a class's
+    sub-block standing for n = m + W*j."""
+    wheel = plan.wheel
+    span = -(-length // wheel)
+    keys = _sparse_strikes(base, length, plan)
+    (tile_a, tile_b), (period_a, period_b) = plan.tiles, plan.periods
     total = 0
-    for start, lo, hi in zip(starts, cuts, cuts[1:]):
-        view = alive[:min(plan.sub, length - start)]
-        n1 = base + 1 + start  # first element of the sub-block
-        # Each block is the AND of the two tiles at the block's phases.
-        for b in range(0, len(view), plan.block):
-            a, c = (n1 + b) % period_a, (n1 + b) % period_b
-            stop = min(b + plan.block, len(view))
-            np.logical_and(tile_a[a:a + stop - b], tile_b[c:c + stop - b], out=view[b:stop])
-        for off, squares in plan.dense:
-            m1 = n1 + off  # first shifted element of the sub-block
-            for p2 in squares:
-                view[(-m1) % p2::p2] = False
-        view[strikes[lo:hi] - start] = False
-        total += int(np.count_nonzero(view))
+    for s in range(min(wheel, length)):
+        n1 = base + 1 + s  # first element of the class in the segment
+        if not plan.live[n1 % wheel]:
+            continue
+        count = (length - 1 - s) // wheel + 1
+        starts = range(0, count, plan.sub)
+        cuts = np.searchsorted(keys, [s * span + j for j in (*starts, count)]).tolist()
+        for start, lo, hi in zip(starts, cuts, cuts[1:]):
+            view = alive[:min(plan.sub, count - start)]
+            m = n1 + wheel * start  # first element of the sub-block
+            phase = m * plan.inverse
+            # Each block is the AND of the two tiles at the block's phases.
+            for b in range(0, len(view), plan.block):
+                a, c = (phase + b) % period_a, (phase + b) % period_b
+                stop = min(b + plan.block, len(view))
+                np.logical_and(tile_a[a:a + stop - b], tile_b[c:c + stop - b], out=view[b:stop])
+            for off, squares in plan.dense:
+                for p2, inverse in squares:
+                    view[(-(m + off) * inverse) % p2::p2] = False
+            view[keys[lo:hi] - (s * span + start)] = False
+            total += int(np.count_nonzero(view))
     return total
 
 
@@ -283,13 +324,18 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     the larger squares up to four times the cube root of the window end
     (placed with one array remainder) and of the squares above that bound
     (through their cofactors, ``square_multiples``), so only primes up to
-    the bound are needed.  Each segment is then counted one SUB_BLOCK of a
-    reused buffer at a time: filled PRESIEVE_BLOCK elements at a time as the
-    AND of two pre-sieve tiles, one for 4, 9, 25 and 49 and one for 121 and
-    169, struck by strides for the squares from 17^2 below DENSE_LIMIT,
-    cleared at its range of the strike array and counted.
+    the bound are needed.  Windows of a segment or more are wheeled by
+    WHEEL = 36: the strikes are keyed by class of n mod 36 and sorted once,
+    and each segment is counted class by class over n = 36k + a, only for
+    the classes a that 4 and 9 leave alive; shorter windows run the same
+    code with one class (W = 1).  Each class's run is counted one SUB_BLOCK
+    of a reused buffer at a time: filled PRESIEVE_BLOCK elements at a time
+    as the AND of two pre-sieve tiles, one for 4, 9, 25 and 49 (25 and 49
+    when wheeled) and one for 121 and 169, struck by strides for the
+    squares from 17^2 below DENSE_LIMIT, cleared at its range of the strike
+    keys and counted.
     ``threads`` must lie in [1, MAX_THREADS]; at most one worker per segment
-    runs.  Of W workers, worker k counts segments k, k + W, k + 2W, ... into
+    runs.  Of T workers, worker k counts segments k, k + T, k + 2T, ... into
     its own buffer: the plan is read-only, so the workers share nothing
     they write.
     """
@@ -309,7 +355,7 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
         tops.append(min(math.isqrt(w.end + off), math.ceil(level) - 1))
     bound = _cofactor_bound(w.end + l.offsets[-1])
     size = min(SEGMENT_SIZE, w.h)
-    plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound, size)
+    plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound, size, _wheel(w.h))
     workers = min(threads, -(-w.h // size))
 
     def worker(k: int) -> int:

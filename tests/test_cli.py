@@ -12,7 +12,7 @@ import pytest
 
 from sqfree.cli import build_parser, main, run_command
 from sqfree.sieve import SEGMENT_SIZE, count_tuples
-from sqfree import buchstab
+from sqfree import buchstab, sieve
 from sqfree.buchstab import SquareMultipleQuery, base_main_term, count_square_multiples
 
 
@@ -395,9 +395,11 @@ def test_reruns_are_byte_identical(tmp_path):
 
 def test_thread_count_does_not_change_output(tmp_path):
     # Three full segments and a short fourth, so --threads 2 and 4 run that
-    # many workers; at x = 1e15 each segment also places the primes from
-    # 4096 to 4e5 and strikes the larger squares through their cofactors.
+    # many workers, each on the wheel; at x = 1e15 each segment also places
+    # the primes from 4096 to 4e5 and strikes the larger squares through
+    # their cofactors.
     h = 3 * SEGMENT_SIZE + 1000
+    assert sieve._wheel(h) == sieve.WHEEL
     for x, fmt in (("1_000_000", "csv"), ("1_000_000_000_000_000", "json")):
         outputs = []
         for threads in ("1", "2", "4"):

@@ -460,6 +460,20 @@ def test_sieve_level_needs_a_finite_length_above_1(h, message):
         sieve_level(h, 1)
 
 
+@pytest.mark.parametrize("r", [0, -1, 1.5, 2.0, "2", None])
+def test_sieve_level_needs_an_integer_r_of_at_least_1(r):
+    # r = 0 divided by zero and r = -1 gave a complex level
+    with pytest.raises(ValueError, match=f"^{re.escape(f'r must be an integer at least 1, not {r!r}')}$"):
+        sieve_level(100, r)
+    assert sieve_level(100, np.int64(2)) == sieve_level(100, 2)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_excess_exponent_needs_a_finite_length(h):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'h must be finite, not {h}')}$"):
+        excess_exponent(h)
+
+
 def test_upper_bound_parameters_reports():
     params = upper_bound_parameters(10**6, 1)
     assert params.level == pytest.approx(41.675199, rel=1e-6)

@@ -18,7 +18,6 @@ from sqfree.sieve import (
     CLASS_ENUMERATION_CAP,
     MAX_THREADS,
     PRESIEVE_GROUPS,
-    PRESIEVE_PERIODS,
     Window,
     count_congruent,
     count_squarefree,
@@ -243,6 +242,7 @@ def _oracle(x, h, offsets, levels=None):
 # Windows on both sides of multiples of the pre-sieve periods and of the
 # pre-sieve block, offsets past both periods, and per-coordinate levels that
 # keep some of 2, 3, 5, 7, 11, 13 and drop others.
+PRESIEVE_PERIODS = (4 * 9 * 25 * 49, 121 * 169)  # the unwheeled tiles' periods
 _P, _Q = PRESIEVE_PERIODS
 _B = sieve.PRESIEVE_BLOCK
 _KERNEL_CASES = [
@@ -334,7 +334,7 @@ def test_each_tile_marks_exactly_its_groups_squares(monkeypatch, offsets, tops, 
     # Tile entry i stands for the n with n = i modulo the tile's period.
     monkeypatch.setattr(sieve, "PRESIEVE_BLOCK", block)
     bound = 10**4
-    plan = sieve._plan(offsets, tops, primes_up_to(min(max(tops), bound)), bound, 1 << 24)
+    plan = sieve._plan(offsets, tops, primes_up_to(min(max(tops), bound)), bound, 1 << 24, 1)
     assert len(plan.tiles) == len(PRESIEVE_GROUPS) == len(PRESIEVE_PERIODS)
     for tile, group, period in zip(plan.tiles, PRESIEVE_GROUPS, PRESIEVE_PERIODS):
         assert len(tile) == period + block and not tile.flags.writeable
@@ -345,8 +345,11 @@ def test_each_tile_marks_exactly_its_groups_squares(monkeypatch, offsets, tops, 
 
 
 def test_kernel_spans_several_segments_against_prefix_difference():
-    x, h = 10**12, 10**8  # six segments of the default size
-    assert count_tuples((x, h), [0]) == count_squarefree(x + h) - count_squarefree(x)
+    # Six and three segments of the default size, both wheeled: Q(x + h) -
+    # Q(x) shares no code with the kernel.
+    for x, h in ((10**12, 10**8), (10**10, 4 * 10**7)):
+        assert sieve._wheel(h) == sieve.WHEEL
+        assert count_tuples((x, h), [0]) == count_squarefree(x + h) - count_squarefree(x)
 
 
 def _squarefree_by_trial_division(values):
@@ -381,17 +384,149 @@ def test_kernel_across_blocks_and_segments_near_1e12_matches_trial_division(monk
         assert count_tuples((x, h), offsets) == expected
 
 
-def test_kernel_peak_memory_is_bounded_by_segment_buffers():
-    # The kernel holds one 1 MiB sub-block buffer and each segment's sparse
-    # strike array (about 45k int64 entries here) however long the window;
-    # numpy reports its buffers to tracemalloc.  The traced peak was 1.9 MiB.
+@pytest.mark.parametrize("offsets", [[0], [0, 1, 2], [0, 2, 6, 8]])
+def test_kernel_peak_memory_is_bounded_by_segment_buffers(offsets):
+    # The kernel holds one sub-block buffer (466,034 bytes: one wheel class
+    # of a 2^24 segment), two tiles shared by every class, and each
+    # segment's sparse strike keys (about 15k int64 entries per coordinate
+    # here) however long the window; numpy reports its buffers to
+    # tracemalloc.  The traced peaks were 1.2, 2.0 and 2.4 MiB.
+    assert sieve._wheel(10**8) == sieve.WHEEL
     tracemalloc.start()
     try:
-        count_tuples((10**12, 10**8), [0, 1, 2])
+        count_tuples((10**12, 10**8), offsets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# ------------------------------------------------------------ wheel
+#
+# The same inputs with the wheel rule forced to W = 36 and to W = 1.  Short
+# segments give classes of fewer than 36 elements and classes with none;
+# short sub-blocks split a class's run into several.
+
+def _count_at(wheel, *args, **kwargs):
+    with mock.patch.object(sieve, "_wheel", lambda h: wheel):
+        return count_tuples(*args, **kwargs)
+
+
+_WHEEL_CASES = [
+    # (x, h, offsets, levels): levels in [2, 4) sieve 2 and 3 on some
+    # coordinates only; offsets past 36 and congruent modulo 36.
+    (0, 3000, (0,), None),
+    (10**6 - 4321, 3000, (0, 1), None),
+    (35, 2500, (0, 1, 2), None),
+    (5 * _P + 17, 3000, (0, 2, 6, 8), None),
+    (999_983, 2000, (0, 36), None),
+    (12_345, 2500, (5, 41, 77), None),
+    (71, 3000, (36, 72, 109), None),
+    (3 * _Q - 5, 3000, (0, 1, 2), (2.0, 3.5, 1000.0)),
+    (777, 3000, (0, 1), (2.5, 1000.0)),
+    (1_000, 3000, (0, 2, 4), (3.0, 2.0, 3.5)),
+    (_P - 36, 3000, (0, 36, 40), (4.0, 2.5, 13.5)),
+    (50_000, 3000, (1, 2, 3, 4), (2.0, 2.0, 2.0, 2.0)),
+]
+_WHEEL_BLOCKING = [
+    # (segment, sub-block, pre-sieve block)
+    (1, 1 << 20, 1 << 15),
+    (20, 1 << 20, 1 << 15),
+    (36, 1, 1),
+    (37, 3, 7),
+    (777, 7, 5),
+    (997, 1 << 20, 1 << 15),
+    (5_000, 50, 20_449),
+    (1 << 16, 1 << 20, 1 << 15),
+]
+
+
+@pytest.mark.parametrize("segment,sub,block", _WHEEL_BLOCKING)
+@pytest.mark.parametrize("x,h,offsets,levels", _WHEEL_CASES)
+def test_wheel_and_no_wheel_match_bruteforce(monkeypatch, segment, sub, block, x, h, offsets,
+                                             levels):
+    if segment == 1 and h > 600:
+        h = 600  # one segment per element: keep the Python loop short
+    expected = _oracle(x, h, offsets, levels)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment)
+    monkeypatch.setattr(sieve, "SUB_BLOCK", sub)
+    monkeypatch.setattr(sieve, "PRESIEVE_BLOCK", block)
+    assert _count_at(sieve.WHEEL, (x, h), offsets, z=levels) == expected
+    assert _count_at(1, (x, h), offsets, z=levels) == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=1500),
+    st.lists(st.integers(min_value=0, max_value=150), min_size=1, max_size=4, unique=True),
+    st.lists(st.sampled_from([2.0, 2.5, 3.0, 3.5, 5.5, 13.5, 1100.0]), min_size=4, max_size=4),
+    st.sampled_from([1, 7, 35, 36, 37, 997, 1 << 16]),
+    st.sampled_from([1, 3, 29, 1 << 20]),
+    st.sampled_from([1, 7, 1225, 1 << 15]),
+)
+@settings(max_examples=60, deadline=None)
+def test_wheel_and_no_wheel_match_bruteforce_random(x, h, offsets, levels, segment, sub, block):
+    offsets = sorted(offsets)
+    levels = levels[:len(offsets)]
+    if segment == 1:
+        h = min(h, 300)  # one segment per element: keep the Python loop short
+    expected = _levelled_count(x, h, offsets, levels, naive_primes(1100))
+    with mock.patch.object(sieve, "SEGMENT_SIZE", segment), \
+            mock.patch.object(sieve, "SUB_BLOCK", sub), \
+            mock.patch.object(sieve, "PRESIEVE_BLOCK", block):
+        assert _count_at(sieve.WHEEL, (x, h), offsets, z=levels) == expected
+        assert _count_at(1, (x, h), offsets, z=levels) == expected
+
+
+@pytest.mark.parametrize("offsets,live", [((0,), 24), ((0, 1), 14), ((0, 1, 2), 6),
+                                          ((0, 2, 6, 8), 10)])
+def test_live_classes_of_the_wide_window_patterns(offsets, live):
+    tops = [10**6] * len(offsets)
+    plan = sieve._plan(offsets, tops, primes_up_to(10**4), 10**4, 1 << 24, sieve.WHEEL)
+    assert sum(plan.live) == live
+    assert plan.live == tuple(all((a + off) % 4 and (a + off) % 9 for off in offsets)
+                              for a in range(sieve.WHEEL))
+
+
+@pytest.mark.parametrize("offsets,tops,block", [
+    ((0,), (10**6,), 1 << 15),
+    ((0, 1, 2), (3, 2, 1000), 7),
+    ((3, _Q + 5, 40), (6, 13, 11), 1225),
+    ((0, 4, 6, 8), (2, 5, 7, 12), 1),
+])
+def test_each_wheel_tile_marks_exactly_its_groups_squares(monkeypatch, offsets, tops, block):
+    # Tile entry i stands for the n with n = 36*i modulo the tile's period;
+    # 2 and 3 leave the tiles and decide the live classes instead.
+    monkeypatch.setattr(sieve, "PRESIEVE_BLOCK", block)
+    bound, wheel = 10**4, sieve.WHEEL
+    plan = sieve._plan(offsets, tops, primes_up_to(min(max(tops), bound)), bound, 1 << 24, wheel)
+    assert plan.periods == (25 * 49, 121 * 169)
+    for tile, group, period in zip(plan.tiles, ((5, 7), (11, 13)), plan.periods):
+        assert len(tile) == period + block and not tile.flags.writeable
+        expected = [not any(p <= top and (wheel * i + off) % (p * p) == 0
+                            for off, top in zip(offsets, tops) for p in group)
+                    for i in range(len(tile))]
+        assert tile.tolist() == expected
+    assert plan.live == tuple(not any(p <= top and (a + off) % (p * p) == 0
+                                      for off, top in zip(offsets, tops) for p in (2, 3))
+                              for a in range(wheel))
+    for off, squares in plan.dense:
+        assert all(wheel * inverse % p2 == 1 for p2, inverse in squares)
+
+
+def test_wheel_rule_keeps_windows_below_a_segment_unwheeled():
+    assert sieve._wheel(sieve.SEGMENT_SIZE - 1) == 1
+    assert sieve._wheel(10**6) == 1
+    assert sieve._wheel(sieve.SEGMENT_SIZE) == sieve.WHEEL
+
+
+def test_wheel_counts_are_thread_independent(monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 997)
+    monkeypatch.setattr(sieve, "SUB_BLOCK", 13)
+    w, offs = (10**9 + 11, 30_000), [0, 2, 6, 8]
+    base = _count_at(1, w, offs)
+    for threads in (1, 2):
+        assert _count_at(sieve.WHEEL, w, offs, threads=threads) == base
 
 
 def test_density_convergence_smoke():
@@ -533,7 +668,7 @@ def test_sparse_strikes_are_sorted_and_complete():
     tops = [math.isqrt(end + off) for off in offsets]
     bound = sieve._cofactor_bound(end)
     with mock.patch.object(sieve, "DENSE_LIMIT", 1_000):
-        plan = sieve._plan(offsets, tops, primes_up_to(bound), bound, length)
+        plan = sieve._plan(offsets, tops, primes_up_to(bound), bound, length, 1)
     strikes = sieve._sparse_strikes(x, length, plan)
     expected = sorted(
         t for off, top in zip(offsets, tops)
