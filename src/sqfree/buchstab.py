@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import _icbrt, as_offsets, primes_up_to, residue_class_counts
-from .sieve import (Window, _require_range, _segments, as_window, count_tuples, full_level,
+from .sieve import (Window, _segments, _window_args, count_tuples, full_level,
                     square_multiples)
 
 # Ledger rows (one int64 tally each) allowed per decomposition.
@@ -76,9 +76,7 @@ def count_square_hits(window, offsets, coord: int, q_lo: float, q_hi: float) -> 
     ``coord`` is 1-based.  Primes whose square exceeds every shifted window
     element contribute nothing and are skipped.
     """
-    w = as_window(window)
-    l = as_offsets(offsets)
-    _require_range(w, l)
+    w, l = _window_args(window, offsets)
     if not 1 <= coord <= l.r:
         raise ValueError("coordinate index out of range")
     off = l.offsets[coord - 1]
@@ -93,8 +91,7 @@ def count_square_hits_split(window, offsets, coord: int, cutoff: float,
                             split_at: float) -> tuple[int, int]:
     """Split the square-hit sum at a threshold: primes in [cutoff, split_at)
     versus [split_at, top), where top is sieve.full_level."""
-    w = as_window(window)
-    l = as_offsets(offsets)
+    w, l = _window_args(window, offsets)
     top = full_level(w, l)
     if not cutoff <= split_at <= top:
         raise ValueError("need cutoff <= split threshold <= 2*sqrt(window end + largest offset)")
@@ -140,9 +137,7 @@ def buchstab_decompose(window, offsets, cutoff: float) -> BuchstabReport:
     they reconcile: each segment marks, per coordinate, the least prime whose
     square divides n + offset, and tallies row (i, q) from those marks.
     """
-    w = as_window(window)
-    l = as_offsets(offsets)
-    _require_range(w, l)
+    w, l = _window_args(window, offsets)
     top = full_level(w, l)
     if not 2.0 <= cutoff <= top:
         raise ValueError("cutoff must lie in [2, 2*sqrt(window end + largest offset)]")

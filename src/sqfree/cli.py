@@ -21,8 +21,9 @@ from .arith import OffsetTuple, as_offsets
 from .buchstab import SquareMultipleQuery, buchstab_decompose, count_square_multiples
 from .density import DEFAULT_PRIME_CUTOFF, density_constant, inverse_density_cap
 from .errors import ContractViolation, MemoryBudgetError
-from .selberg import excess_exponent, optimal_weights, quadratic_form_bound, sieve_level
-from .sieve import MAX_THREADS, Window, count_tuples, full_level
+from .selberg import (EXCESS_MIN_LENGTH, excess_exponent, optimal_weights, quadratic_form_bound,
+                      sieve_level)
+from .sieve import MAX_THREADS, Window, _window_args, count_tuples, full_level
 
 
 def _threads_arg(text: str) -> int:
@@ -132,7 +133,7 @@ def _excess_stat(q: int, mid: float, h: int):
     if mid <= 0:
         return None, None, None
     ratio = q / (mid * h)
-    if h >= 16:
+    if h >= EXCESS_MIN_LENGTH:
         rho = excess_exponent(h)
         stat = max(0.0, ratio - 1.0) * h ** (1.0 / 3.0 - rho)
     else:
@@ -168,7 +169,7 @@ def run_command(args: argparse.Namespace) -> list[dict]:
 
     if args.command == "selberg":
         _warn_regime(args)
-        w = Window(args.x, args.h)
+        w, _ = _window_args((args.x, args.h), args.offsets)
         level = _resolve_level(args)
         system = optimal_weights(level, args.offsets, prime_cutoff=args.prime_cutoff)
         cert = quadratic_form_bound(w, args.offsets, system, threads=args.threads)
@@ -217,20 +218,21 @@ def run_command(args: argparse.Namespace) -> list[dict]:
         return [{"x": args.x, "h": args.h, "d_lo": args.d_lo, "d_hi": args.d_hi, "count": count}]
 
     if args.command == "sweep":
+        # Every window is checked before the first density product is built.
+        grid = [[_window_args((x, h), offs)[0] for x in args.x for h in args.h]
+                for offs in args.offsets]
         rows = []
-        for offs in args.offsets:
+        for offs, windows in zip(args.offsets, grid):
             est = density_constant(offs, args.prime_cutoff)
-            for x in args.x:
-                for h in args.h:
-                    w = Window(x, h)
-                    q = count_tuples(w, offs, threads=args.threads)
-                    ratio, rho, stat = _excess_stat(q, est.midpoint, h)
-                    rows.append({
-                        "x": x, "h": h, "r": offs.r, "offsets": str(offs), "q": q,
-                        "density_lower": est.lower, "density_upper": est.upper,
-                        "density_mid": est.midpoint, "ratio": ratio,
-                        "excess_exponent": rho, "excess_stat": stat,
-                    })
+            for w in windows:
+                q = count_tuples(w, offs, threads=args.threads)
+                ratio, rho, stat = _excess_stat(q, est.midpoint, w.h)
+                rows.append({
+                    "x": w.x, "h": w.h, "r": offs.r, "offsets": str(offs), "q": q,
+                    "density_lower": est.lower, "density_upper": est.upper,
+                    "density_mid": est.midpoint, "ratio": ratio,
+                    "excess_exponent": rho, "excess_stat": stat,
+                })
         return rows
 
     raise ValueError(f"unknown command {args.command!r}")
@@ -296,7 +298,8 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, MemoryBudgetError, OverflowError) as exc:
+    except (ValueError, MemoryBudgetError, OverflowError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

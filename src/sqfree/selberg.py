@@ -23,12 +23,15 @@ from typing import Optional, Union
 from .arith import as_offsets, primes_up_to, residue_class_counts, squarefree_prime_factors
 from .density import DEFAULT_PRIME_CUTOFF, EulerEstimate, density_constant
 from .errors import DegenerateTupleError
-from .sieve import Window, as_window, count_congruent, count_tuples, window_products
+from .sieve import Window, _window_args, count_congruent, count_tuples, window_products
 
 Number = Union[Fraction, float]
 
 LEVEL_CAP = 10_000.0
 EXACT_LEVEL_CAP = 100.0
+# The shortest window given an excess exponent: the exponent is positive
+# only for h > e^e = 15.15, where log log h passes 1.
+EXCESS_MIN_LENGTH = 16
 
 
 def _squarefree_splits(n: int):
@@ -181,9 +184,10 @@ def excess_exponent(h: float) -> float:
     excess reporting."""
     if not -math.inf < h < math.inf:  # NaN fails too
         raise ValueError(f"h must be finite, not {h}")
-    llh = math.log(math.log(h))
-    if llh <= 0:
+    # log log h > 0 needs h > e, and log h rounds to 1 just above e
+    if h <= math.e or math.log(h) <= 1.0:
         raise ValueError("h is too small for the excess exponent")
+    llh = math.log(math.log(h))
     return 2.0 * math.log(llh) / llh
 
 
@@ -215,8 +219,8 @@ def upper_bound_parameters(h: float, r: int, x: Optional[float] = None) -> Upper
     """Evaluate the canonical sieve level and excess exponent for (h, r).
 
     Requires h >= 10^3 and 1 <= r <= log h / log log h; the side conditions
-    (level in (2, 2 sqrt(x)) and nu = 1 + r/log(level) <= 2) are reported,
-    not enforced.  When x is omitted it defaults to h, the smallest window
+    level < 2 sqrt(x) and nu = 1 + r/log(level) <= 2 are reported, not
+    enforced.  When x is omitted it defaults to h, the smallest window
     position the regime allows.
     """
     if h < 1000:
@@ -228,13 +232,14 @@ def upper_bound_parameters(h: float, r: int, x: Optional[float] = None) -> Upper
         raise ValueError(
             f"tuple size {r} exceeds log h / log log h = {r_max:.6g}"
         )
+    # With L = log h the level is exp(L/3 - (r/3) log(L/r)), and
+    # r log(L/r) <= L/e, so it is at least exp(L (1 - 1/e)/3) >= 4.28: the
+    # side condition level > 2 always holds, and log(level) > 0.
     level = sieve_level(h, r)
     rho = excess_exponent(h)
-    nu = 1.0 + r / math.log(level) if level > 1.0 else math.inf
+    nu = 1.0 + r / math.log(level)
     x_ref = float(x) if x is not None else float(h)
     violations = []
-    if not level > 2.0:
-        violations.append("level <= 2")
     if not level < 2.0 * math.sqrt(x_ref):
         violations.append("level >= 2*sqrt(x)")
     if not nu <= 2.0:
@@ -285,8 +290,7 @@ def quadratic_form_bound(window, offsets, system: SelbergSystem, *,
     weights are dyadic rationals, so scaled to integers they give the form
     exactly, and ``certified`` is an exact comparison.
     """
-    w = as_window(window)
-    l = as_offsets(offsets)
+    w, l = _window_args(window, offsets)
     if l.offsets != system.offsets.offsets:
         raise ValueError("system was built for different offsets")
     weights = system.weights
@@ -319,7 +323,7 @@ def quadratic_form_bound(window, offsets, system: SelbergSystem, *,
                 form += contrib if i == j else 2 * contrib
     exact_form = Fraction(total, scale * scale)
     exact = count_tuples(w, l, threads=threads)
-    if system.density is not None and w.h >= 16:
+    if system.density is not None and w.h >= EXCESS_MIN_LENGTH:
         rho = excess_exponent(w.h)
         rhs = system.density.midpoint * w.h * (1.0 + w.h ** (-1.0 / 3.0 + rho))
     else:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .arith import (
     MAX_SUPPORTED,
+    OffsetTuple,
     _congruence_classes,
     _icbrt,
     as_offsets,
@@ -85,9 +86,14 @@ def as_window(value) -> Window:
     return Window(x, h)
 
 
-def _require_range(window: Window, offsets) -> None:
-    if window.end + offsets.offsets[-1] > MAX_SUPPORTED:
+def _window_args(window, offsets) -> tuple[Window, OffsetTuple]:
+    """The one intake of every window function: the window and offsets
+    coerced, and refused unless window end plus largest offset <= 2^62."""
+    w = as_window(window)
+    l = as_offsets(offsets)
+    if w.end + l.offsets[-1] > MAX_SUPPORTED:
         raise ValueError("window end plus largest offset exceeds the supported range 2^62")
+    return w, l
 
 
 def count_squarefree(x: int) -> int:
@@ -109,7 +115,8 @@ def full_level(window, offsets) -> float:
     """The level 2*sqrt(window end + largest offset), above every prime whose
     square can divide a shifted window element: sieving to it is the full
     squarefree test."""
-    return 2.0 * math.sqrt(as_window(window).end + as_offsets(offsets).offsets[-1])
+    w, l = _window_args(window, offsets)
+    return 2.0 * math.sqrt(w.end + l.offsets[-1])
 
 
 def _normalize_levels(z, window: Window, offsets) -> list[float]:
@@ -271,8 +278,16 @@ def _sparse_strikes(base: int, length: int, plan: _Plan) -> np.ndarray:
         # n that q strikes anyway.
         m1 = base + off + 1
         strikes.append(square_multiples(m1 - 1, m1 - 1 + length, plan.bound, top) - m1)
-    k, a = np.divmod(np.concatenate(strikes), plan.wheel)
-    keys = a * -(-length // plan.wheel) + k
+    # The keys take two strike-sized arrays, the strike list freed first:
+    # larger temporaries (about 3 MB a segment at r = 4), freed at the top
+    # of the heap, let malloc hand them back to the system and fault them
+    # in again every segment.
+    k = np.concatenate(strikes)
+    del strikes
+    keys = np.empty_like(k)
+    np.divmod(k, plan.wheel, out=(k, keys))
+    keys *= -(-length // plan.wheel)
+    keys += k
     keys.sort()
     return keys
 
@@ -342,9 +357,7 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     threads = int(threads)
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must lie in [1, {MAX_THREADS}]")
-    w = as_window(window)
-    l = as_offsets(offsets)
-    _require_range(w, l)
+    w, l = _window_args(window, offsets)
     levels = _normalize_levels(z, w, l)
     tops = []
     for off, level in zip(l.offsets, levels):
@@ -388,9 +401,7 @@ def window_products(window, offsets, primes) -> dict[int, int]:
     a row that would pass 2^63 is set to 0, which stays 0, and its D(n) is
     rebuilt with Python ints.
     """
-    w = as_window(window)
-    l = as_offsets(offsets)
-    _require_range(w, l)
+    w, l = _window_args(window, offsets)
     primes = [int(p) for p in primes]
     class_lists = [_congruence_classes(l, p) for p in primes]
     checked = (math.isqrt(math.prod(w.end + off for off in l.offsets)) > _INT64_MAX
@@ -445,9 +456,7 @@ def count_congruent(d: int, window, offsets) -> int:
     primes of d: n counts exactly when D(n) = d.
     """
     d = int(d)
-    w = as_window(window)
-    l = as_offsets(offsets)
-    _require_range(w, l)
+    w, l = _window_args(window, offsets)
     factors = squarefree_prime_factors(d)
     class_lists = [_congruence_classes(l, p) for p in factors]
     if math.prod(len(classes) for _, classes in class_lists) <= CLASS_ENUMERATION_CAP:
@@ -471,8 +480,7 @@ def verify_congruent_asymptotic(d: int, window, offsets) -> CongruentMainTerm:
     The absolute error never exceeds u(d): each of the u(d) residue classes
     modulo d^2 contributes a count within 1 of h/d^2.
     """
-    w = as_window(window)
-    l = as_offsets(offsets)
+    w, l = _window_args(window, offsets)
     exact = count_congruent(d, w, l)
     u_d = residue_class_count_squarefree(d, l)
     main = w.h * u_d / (d * d)

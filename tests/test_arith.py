@@ -42,6 +42,21 @@ def test_offsets_validation():
         OffsetTuple((3, 2))
     with pytest.raises(ValueError):
         OffsetTuple((-1, 0))
+    with pytest.raises(ValueError, match=r"^offsets exceed the supported range 2\^62$"):
+        OffsetTuple((0, 2**62 + 1))
+    assert OffsetTuple((0, 2**62)).offsets[-1] == 2**62
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: primes_up_to(0), "bound must be at least 1"),
+    (lambda: squarefull_product(0, [0]), "n must be a positive integer"),
+    (lambda: is_tuple_squarefree(0, [0]), "n must be a positive integer"),
+    (lambda: squarefree_prime_factors(0), "d must be a positive integer"),
+    (lambda: mobius_up_to(0), "n must be at least 1"),
+])
+def test_arguments_below_1_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_offsets_span():

@@ -310,6 +310,12 @@ def test_square_hit_split_edges():
         count_square_hits_split(w, [0], 1, 50.0, 10.0)
 
 
+@pytest.mark.parametrize("coord", [0, 3])
+def test_square_hits_refuse_a_coordinate_outside_1_to_r(coord):
+    with pytest.raises(ValueError, match="^coordinate index out of range$"):
+        count_square_hits((10**4, 10**3), [0, 2], coord, 2, 50)
+
+
 def test_square_hit_split_matches_direct_sum():
     w = (10**4, 10**3)
     below, above = count_square_hits_split(w, [0], 1, 10.0, 50.0)
@@ -425,6 +431,14 @@ def test_asymptotic_parameters_kinds():
     )
     with pytest.raises(ValueError):
         asymptotic_parameters(10**12, 1, "cubic")
+
+
+def test_asymptotic_parameters_domain():
+    with pytest.raises(ValueError, match=r"^x must be at least e\^e$"):
+        asymptotic_parameters(15, 1)
+    with pytest.raises(ValueError, match="^tuple size must be at least 1$"):
+        asymptotic_parameters(10**12, 0)
+    assert asymptotic_parameters(16, 1).cutoff > 0
 
 
 def test_asymptotic_parameters_always_reports():

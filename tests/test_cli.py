@@ -179,6 +179,55 @@ def test_buchstab_past_the_supported_range_exits_2_with_the_range_message(capsys
     assert err == "error: window end plus largest offset exceeds the supported range 2^62\n"
 
 
+RANGE_MESSAGE = "error: window end plus largest offset exceeds the supported range 2^62\n"
+REGIME_NOTE = ("note: largest offset or window length exceeds the window start; "
+               "results are exact but outside the certified asymptotic regime\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["selberg", "--x", "4611686018427387800", "--h", "100", "--offsets", "0,100", "--z", "30"],
+     RANGE_MESSAGE),
+    (["sweep", "--x", "4611686018427387800", "--h", "100", "--offsets", "0,100"],
+     RANGE_MESSAGE),
+    (["selberg", "--x", "1000", "--h", "100", "--offsets", "0,4611686018427387000", "--z", "30"],
+     REGIME_NOTE + RANGE_MESSAGE),
+    # the last window of the grid is the one out of range
+    (["sweep", "--x", "1000,4611686018427387800", "--h", "100", "--offsets", "0",
+      "--offsets", "0,100"], RANGE_MESSAGE),
+])
+def test_selberg_and_sweep_refuse_past_the_range_before_any_table(capsys, monkeypatch, argv, err):
+    import sqfree.cli as cli_module
+    from sqfree import density, selberg
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a table was built before the window was checked")
+
+    for module in (sieve, selberg, density, buchstab):
+        monkeypatch.setattr(module, "primes_up_to", reached)
+    for module in (cli_module, selberg):
+        monkeypatch.setattr(module, "density_constant", reached)
+    monkeypatch.setattr(cli_module, "optimal_weights", reached)
+    monkeypatch.setattr(cli_module, "count_tuples", reached)
+    code, out, captured_err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert captured_err == err
+
+
+def test_buchstab_contract_failure_exits_3(capsys, monkeypatch):
+    import sqfree.cli as cli_module
+
+    class Unreconciled:
+        reconciliation = 1
+
+    monkeypatch.setattr(cli_module, "buchstab_decompose", lambda *a, **k: Unreconciled())
+    code, out, err = run_cli(capsys, "buchstab", "--x", "1000", "--h", "100", "--offsets", "0",
+                             "--lambda0", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "contract failure: decomposition does not reconcile: residue 1\n"
+
+
 def test_buchstab_work_cap_reject_is_unchanged(capsys, monkeypatch):
     # 2,126,148 rows: primes from 5 to sqrt(1.2e15 + 10), refused before
     # either count or the main term runs.
@@ -277,6 +326,34 @@ def test_sweep_short_window_has_empty_excess_columns(capsys):
     assert short["ratio"] != ""
     assert short["excess_exponent"] == "" and short["excess_stat"] == ""
     assert first["excess_exponent"] != "" and first["excess_stat"] != ""
+
+
+def test_excess_columns_at_h_15_and_16_are_unchanged(capsys):
+    # Recorded before the h >= 16 rule was read from selberg.EXCESS_MIN_LENGTH.
+    header = ("x,h,offsets,z,form_minimum,normalizer,weight_mass,tail_defect,"
+              "inv_density_upper,form_value,exact_count,reference_rhs,certified\n")
+    selberg_rows = {
+        "15": "1000,15,0,5,0.666666666666667,1.5,3.33333333333333,0.148021231603327,"
+              "1.64802123160333,12.4328703703704,11,nan,true\n",
+        "16": "1000,16,0,5,0.666666666666667,1.5,3.33333333333333,0.148021231603327,"
+              "1.64802123160333,12.4452160493827,11,14.008536941776,true\n",
+    }
+    for h, row in selberg_rows.items():
+        code, out, _ = run_cli(capsys, "selberg", "--x", "1000", "--h", h, "--offsets", "0",
+                               "--z", "5", "--prime-cutoff", "1000")
+        assert code == 0
+        assert out == header + row
+    code, out, _ = run_cli(capsys, "sweep", "--x", "1000", "--h", "15,16", "--offsets", "0",
+                           "--prime-cutoff", "1000")
+    assert code == 0
+    assert out == (
+        "x,h,r,offsets,q,density_lower,density_upper,density_mid,ratio,excess_exponent,"
+        "excess_stat\n"
+        "1000,15,1,0,11,0.606788299096802,0.608004307306352,0.607396303201577,"
+        "1.20733914491732,,\n"
+        "1000,16,1,0,11,0.606788299096802,0.608004307306352,0.607396303201577,"
+        "1.13188044835999,0.0384167225945208,0.298741391237952\n"
+    )
 
 
 def test_sweep_multiple_patterns(capsys):
@@ -521,6 +598,19 @@ def test_every_command_keeps_the_exit_contract_on_edge_windows(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 2), (argv, code, err)
         assert (out == "") == (code == 2), (argv, out, err)
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_unwritable_out_exits_2_with_the_os_message(capsys, tmp_path, command, target):
+    path = tmp_path / "missing" / "rows.csv" if target == "missing directory" else tmp_path
+    with pytest.raises(OSError) as expected:
+        open(path, "w")
+    code, out, err = run_cli(capsys, *SMALL_RUNS[command], "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {expected.value}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_degenerate_selberg_exit_code(capsys):

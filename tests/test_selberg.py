@@ -474,6 +474,21 @@ def test_excess_exponent_needs_a_finite_length(h):
         excess_exponent(h)
 
 
+@pytest.mark.parametrize("h", [0.5, 1, 2, math.e, math.nextafter(math.e, math.inf)])
+def test_excess_exponent_refuses_h_up_to_e_before_any_log(h):
+    # 0.5 and 1 gave "math domain error"; just above e, log h still rounds to 1
+    with pytest.raises(ValueError, match="^h is too small for the excess exponent$"):
+        excess_exponent(h)
+
+
+def test_excess_min_length_is_where_the_exponent_turns_positive():
+    # between e and e^e the exponent is defined but negative
+    assert excess_exponent(3) == pytest.approx(-50.27, abs=0.01)
+    assert excess_exponent(selberg.EXCESS_MIN_LENGTH - 1) < 0 < excess_exponent(
+        selberg.EXCESS_MIN_LENGTH)
+    assert selberg.EXCESS_MIN_LENGTH == math.ceil(math.e ** math.e)
+
+
 def test_upper_bound_parameters_reports():
     params = upper_bound_parameters(10**6, 1)
     assert params.level == pytest.approx(41.675199, rel=1e-6)
@@ -497,8 +512,23 @@ def test_upper_bound_parameters_side_condition_reporting():
     # at the largest admissible tuple size the canonical level can break the
     # nu side condition; it must be reported, not raised
     params = upper_bound_parameters(10**3, 3)
-    assert "nu > 2" in params.violations
+    assert params.violations == ("nu > 2",)
     assert not params.ok
+    # x below level^2 / 4 breaks the other side condition
+    assert upper_bound_parameters(10**3, 1, x=1).violations == ("level >= 2*sqrt(x)",)
+
+
+def test_upper_bound_level_is_far_above_2_under_the_preconditions():
+    # level = exp(L/3 - (r/3) log(L/r)) with L = log h, and r log(L/r) <= L/e,
+    # so level >= exp(L (1 - 1/e) / 3) >= 4.28 from h = 10^3 on: the side
+    # condition level > 2 cannot fail and needs no report
+    lowest = math.inf
+    for h in [10**3, 2 * 10**3, 10**4, 10**6, 10**12, 10**30]:
+        for r in range(1, math.floor(math.log(h) / math.log(math.log(h))) + 1):
+            level = upper_bound_parameters(h, r).level
+            assert level >= math.exp(math.log(h) * (1 - 1 / math.e) / 3)
+            lowest = min(lowest, level)
+    assert lowest == pytest.approx(4.34, abs=0.01)
 
 
 # ------------------------------------------------------- moment bounds
@@ -513,6 +543,11 @@ def test_lower_bounds_name_non_finite_values(call, message):
                         (math.nan, "finite, not nan"), (math.inf, "finite, not inf")]:
         with pytest.raises(ValueError, match=f"^{message} {tail}$"):
             call(value)
+
+
+def test_squarefree_moment_needs_r_of_at_least_1():
+    with pytest.raises(ValueError, match="^r must be at least 1$"):
+        squarefree_moment(0, 10)
 
 
 def test_squarefree_moment_values():

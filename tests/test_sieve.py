@@ -76,6 +76,53 @@ def test_window_validation():
         count_tuples((2**62 - 5, 4), [0, 10])  # end + offset past the cap
 
 
+def test_window_args_coerces_and_admits_the_range_up_to_its_end():
+    w, l = sieve._window_args((2**62 - 110, 10), [0, 100])  # end + offset = 2^62
+    assert (w, l) == (Window(2**62 - 110, 10), as_offsets([0, 100]))
+    assert sieve._window_args(w, l) == (w, l)
+    with pytest.raises(ValueError, match=r"^window end plus largest offset exceeds the "
+                                         r"supported range 2\^62$"):
+        sieve._window_args((2**62 - 110, 10), [0, 101])
+
+
+def _window_functions():
+    from sqfree import buchstab, selberg
+
+    system = selberg.optimal_weights(5, [0, 1000], prime_cutoff=1000)
+    return [
+        lambda w, l: count_tuples(w, l),
+        lambda w, l: window_products(w, l, [2, 3]),
+        lambda w, l: count_congruent(6, w, l),
+        lambda w, l: verify_congruent_asymptotic(6, w, l),
+        lambda w, l: sieve.full_level(w, l),
+        lambda w, l: selberg.quadratic_form_bound(w, l, system),
+        lambda w, l: buchstab.count_square_hits(w, l, 1, 2, 10**6),
+        lambda w, l: buchstab.count_square_hits_split(w, l, 1, 2, 10),
+        lambda w, l: buchstab.buchstab_decompose(w, l, 5.0),
+    ]
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_every_window_function_refuses_past_the_range_at_entry(monkeypatch, index):
+    # x + h is inside 2^62 and the largest offset takes it past: each window
+    # function refuses with the one message before it asks for a prime table,
+    # a prime factorisation or a count
+    call = _window_functions()[index]
+    from sqfree import buchstab, selberg
+
+    def reached(*args, **kwargs):
+        raise AssertionError("work ran before the window was checked")
+
+    for module in (sieve, selberg, buchstab):
+        monkeypatch.setattr(module, "primes_up_to", reached)
+    monkeypatch.setattr(sieve, "squarefree_prime_factors", reached)
+    monkeypatch.setattr(selberg, "count_congruent", reached)
+    monkeypatch.setattr(buchstab, "count_tuples", reached)
+    with pytest.raises(ValueError, match=r"^window end plus largest offset exceeds the "
+                                         r"supported range 2\^62$"):
+        call((4611686018427387800, 100), [0, 1000])
+
+
 # --------------------------------------------------------- count_tuples
 
 def test_count_tuples_examples():
