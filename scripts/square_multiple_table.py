@@ -12,7 +12,7 @@ import argparse
 import math
 
 from sqfree.buchstab import SquareMultipleQuery, count_square_multiples
-from sqfree.cli import add_output_flags, emit
+from sqfree.cli import add_output_flags, emit, exit_code
 
 
 def build_rows(x: int, scales) -> list[dict]:
@@ -37,9 +37,12 @@ def main(argv=None) -> int:
                         help="comma-separated window scales R")
     add_output_flags(parser)
     args = parser.parse_args(argv)
-    scales = [int(s) for s in args.scales.split(",")]
-    emit(build_rows(args.x, scales), args.format, args.out)
-    return 0
+
+    def work():
+        scales = [int(s) for s in args.scales.split(",")]
+        emit(build_rows(args.x, scales), args.format, args.out)
+
+    return exit_code(work)
 
 
 if __name__ == "__main__":

@@ -285,15 +285,12 @@ def emit(rows: list[dict], fmt: str, out=None) -> None:
         sys.stdout.write(text)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def exit_code(work) -> int:
+    """Run ``work()`` under the exit contract shared by the CLI and the
+    scripts: 0 when it returns, 3 on a violated internal contract, 2 on a
+    usage or precondition error, each failure with one line on stderr."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        rows = run_command(args)
-        emit(rows, args.format, args.out)
+        work()
         return 0
     except ContractViolation as exc:
         print(f"contract failure: {exc}", file=sys.stderr)
@@ -302,6 +299,15 @@ def main(argv=None) -> int:
         # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return exit_code(lambda: emit(run_command(args), args.format, args.out))
 
 
 if __name__ == "__main__":

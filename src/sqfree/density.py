@@ -54,7 +54,10 @@ class EulerEstimate:
 def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> EulerEstimate:
     """Bracket the infinite product of local densities (1 - u(p)/p^2).
 
-    Factors are accumulated in log space with exactly rounded summation.
+    Factors are accumulated in log space with exactly rounded summation, in
+    one pass over the prime table, _CHUNK primes at a time: each chunk's
+    logs are made and cut into exact limbs in two reused buffers (see
+    ``_add_limbs``; per-chunk int64 sums put no bound on the table size).
     The omitted tail over primes beyond the cutoff is covered by
     2r/(prime_cutoff - 1): each omitted factor satisfies
     -log(1 - u(p)/p^2) <= 2r/p^2 (valid since p > cutoff >= 2r forces
@@ -71,43 +74,93 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
     # can reach the degenerate value p^2 only when p^2 <= r.
     explicit_bound = math.isqrt(max(l.span, r))
     split = int(np.searchsorted(ps, explicit_bound, side="right"))
-    logs = np.empty(ps.size, dtype=np.float64)
     explicit = ps[:split]
-    for i, (p, u) in enumerate(zip(explicit.tolist(), residue_class_counts(explicit, l))):
+    explicit_logs = []
+    for p, u in zip(explicit.tolist(), residue_class_counts(explicit, l)):
         if u == p * p:
             return EulerEstimate(0.0, 0.0, cutoff, 0.0, True)
-        logs[i] = math.log1p(-u / (p * p))
-    bulk = ps[split:].astype(np.float64)
-    np.log1p(-r / (bulk * bulk), out=logs[split:])
-    total = _exact_sum(logs)
-    slop = FLOAT_SLOP_PER_FACTOR * len(logs)
+        explicit_logs.append(math.log1p(-u / (p * p)))
+
+    def log_chunks():
+        head = np.array(explicit_logs, dtype=np.float64)
+        yield from (head[lo:lo + _CHUNK] for lo in range(0, split, _CHUNK))
+        chunk = np.empty(min(_CHUNK, ps.size - split), dtype=np.float64)
+        for lo in range(split, ps.size, _CHUNK):
+            logs = chunk[:min(_CHUNK, ps.size - lo)]
+            logs[:] = ps[lo:lo + logs.size]
+            np.multiply(logs, logs, out=logs)
+            np.divide(-r, logs, out=logs)
+            np.log1p(logs, out=logs)
+            yield logs
+
+    limbs = [0, 0, 0]
+    scratch = np.empty(min(_CHUNK, ps.size), dtype=np.float64)
+    if all(_add_limbs(limbs, logs, scratch) for logs in log_chunks()):
+        total = _round_limbs(limbs)
+    else:
+        total = math.fsum(v for logs in log_chunks() for v in logs.tolist())
+    slop = FLOAT_SLOP_PER_FACTOR * ps.size
     tail = 2.0 * r / (cutoff - 1.0)
     upper = min(1.0, math.exp(total + slop))
     lower = math.exp(total - tail - 2.0 * slop)
     return EulerEstimate(lower, upper, cutoff, tail + 3.0 * slop, False)
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """The sum of ``values`` correctly rounded, the same float as
-    ``math.fsum``, from three int64 limbs per value.
+# Values per chunk of the limb pass.  Two float64 buffers of 2^15 (256 KiB
+# each) stay in a core's 2 MiB L2 cache.  density_constant([0, 2], 10**7),
+# median of 25 alternating calls on a 2-vCPU Xeon: 2^13 5.2 ms, 2^14 4.5 ms,
+# 2^15 4.2 ms, 2^16 4.3 ms, 2^17 5.0 ms; the whole table at once took 11.4 ms.
+_CHUNK = 1 << 15
+
+
+def _add_limbs(limbs: list, values: np.ndarray, scratch: np.ndarray) -> bool:
+    """Add the three limb sums of ``values`` (at most _CHUNK of them) to the
+    Python ints ``limbs``, overwriting ``values``; ``scratch`` holds at least
+    as many floats.  False, with ``limbs`` incomplete, when a value has
+    bits below 2^-114 or is not below 2^6 in magnitude (NaN included).
 
     Each value v is cut on the 2^-114 grid into limbs a, b, c with
-    v = a*2^-34 + b*2^-74 + c*2^-114, every |limb| < 2^40.  For a log of a
-    local factor 1 - u/p^2 with u < p^2 and p <= PRIME_SIEVE_CAP = 2^27,
-    |v| <= log(p^2) < 38 < 2^6, so |a| < 2^40.  Fewer than pi(2^27) < 2^23
-    values then keep every limb sum below 2^63: the int64 sums are exact,
-    and one rounding of the exact rational total remains.  A value with bits
-    below 2^-114, possible only when |v| < 2^-62, falls back to ``math.fsum``.
+    v = a*2^-34 + b*2^-74 + c*2^-114, every |limb| < 2^40 when |v| < 2^6,
+    as for a log of a local factor 1 - u/p^2 with u < p^2 and
+    p <= PRIME_SIEVE_CAP = 2^27 (|v| <= log(p^2) < 38).  At most
+    _CHUNK = 2^15 such limbs sum below 2^55, so every int64 chunk sum is
+    exact.  When every |v| < 2^-34 the first limb is 0 and is skipped.
     """
-    limbs = []
-    scaled = values * 2.0**34
-    for _ in range(3):
-        limb = np.trunc(scaled)
-        limbs.append(int(limb.astype(np.int64).sum()))
-        scaled = (scaled - limb) * 2.0**40  # both steps exact in float64
-    if np.any(scaled):
-        return math.fsum(values.tolist())
+    top = max(-values.min(), values.max()) if values.size else 0.0
+    if not top < 2.0**6:
+        return False
+    first = 1 if top < 2.0**-34 else 0
+    np.multiply(values, 2.0 ** (34 + 40 * first), out=values)
+    trunc = scratch[:values.size]
+    for i in range(first, 3):
+        np.trunc(values, out=trunc)
+        limbs[i] += int(trunc.sum(dtype=np.int64))
+        np.subtract(values, trunc, out=values)  # both steps exact in float64
+        np.multiply(values, 2.0**40, out=values)
+    return not values.any()
+
+
+def _round_limbs(limbs: list) -> float:
+    """One rounding of the exact total a*2^-34 + b*2^-74 + c*2^-114."""
     return ((limbs[0] << 80) + (limbs[1] << 40) + limbs[2]) / (1 << 114)
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The sum of ``values`` correctly rounded, the same float as
+    ``math.fsum``, for any number of values: the limbs of ``_add_limbs``
+    summed _CHUNK values at a time, then one rounding of the exact rational
+    total.  A value with bits below 2^-114, possible only when
+    |v| < 2^-62, or with |v| >= 2^6 falls back to ``math.fsum``.
+    """
+    limbs = [0, 0, 0]
+    size = min(_CHUNK, values.size)
+    chunk, scratch = np.empty(size), np.empty(size)
+    for lo in range(0, values.size, _CHUNK):
+        part = chunk[:min(_CHUNK, values.size - lo)]
+        part[:] = values[lo:lo + _CHUNK]
+        if not _add_limbs(limbs, part, scratch):
+            return math.fsum(values.tolist())
+    return _round_limbs(limbs)
 
 
 @dataclass(frozen=True)

@@ -613,6 +613,28 @@ def test_unwritable_out_exits_2_with_the_os_message(capsys, tmp_path, command, t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--out", "{missing}"], "{missing_error}"),
+    (["--out", "{directory}"], "{directory_error}"),
+    (["--scales", "1,two"], "invalid literal for int() with base 10: 'two'"),
+    (["--x", "0"], "math domain error"),
+], ids=["missing directory", "directory", "bad scales", "x = 0"])
+def test_square_multiple_table_keeps_the_exit_contract(tmp_path, argv, message):
+    # The script maps its failures through cli.exit_code, as cli.main does.
+    places = {"missing": tmp_path / "missing" / "rows.csv", "directory": tmp_path}
+    for name, path in list(places.items()):
+        with pytest.raises(OSError) as expected:
+            open(path, "w")
+        places[name + "_error"] = expected.value
+    script = str(Path(__file__).resolve().parent.parent / "scripts" / "square_multiple_table.py")
+    proc = subprocess.run([sys.executable, script, "--x", "1000",
+                           *(a.format(**places) for a in argv)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message.format(**places)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_degenerate_selberg_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "selberg", "--x", "100", "--h", "50", "--offsets", "0,1,2,3", "--z", "10"

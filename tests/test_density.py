@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 from sqfree import density
 from sqfree.arith import as_offsets, primes_up_to, residue_class_count
 from sqfree.density import (
+    _CHUNK,
     FLOAT_SLOP_PER_FACTOR,
     EulerEstimate,
+    _add_limbs,
     _exact_sum,
+    _round_limbs,
     certify_inverse_bound,
     density_constant,
     inverse_density_cap,
@@ -228,3 +232,98 @@ def test_limb_sum_is_exactly_rounded():
 @settings(max_examples=300, deadline=None)
 def test_limb_sum_matches_fsum_random(values):
     assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+
+
+# ------------------------------------------------- the chunked pass
+
+_COMPACT = {1: [0], 2: [0, 2], 3: [0, 2, 6], 4: [0, 2, 6, 8]}
+_WIDE = {2: [0, 10**12], 3: [0, 6, 10**13], 4: [0, 2, 10**14, 2 * 10**14]}
+
+
+def _split(offsets, cutoff):
+    l = as_offsets(offsets)
+    return int(np.searchsorted(primes_up_to(cutoff), math.isqrt(max(l.span, l.r)), side="right"))
+
+
+def _chunk_edge_cases():
+    """(offsets, cutoff) per r: the bulk empty (every prime explicit, more
+    than a chunk of them), shorter than one chunk, one chunk exactly and one
+    chunk +- 1 prime, and two chunks and more, where the 2^-34 first-limb
+    threshold falls inside the first."""
+    table = primes_up_to(2 * 10**6)
+    cases = []
+    for r, offs in _COMPACT.items():
+        if r in _WIDE:
+            cases.append((_WIDE[r], 500_000))
+        edge = int(table[_split(offs, 10**6) + _CHUNK - 1])  # the last prime of the first chunk
+        cases += [(offs, 10**5), (offs, edge), (offs, int(table[_split(offs, 10**6) + _CHUNK - 2])),
+                  (offs, int(table[_split(offs, 10**6) + _CHUNK])), (offs, 2 * 10**6)]
+    return cases
+
+
+def test_chunk_edge_cases_cover_what_they_name():
+    cases = _chunk_edge_cases()
+    bulk_sizes = {len(primes_up_to(c)) - _split(o, c) for o, c in cases}
+    assert {0, _CHUNK - 1, _CHUNK, _CHUNK + 1} <= bulk_sizes
+    assert any(0 < size < _CHUNK - 1 for size in bulk_sizes)
+    assert any(_split(o, c) > _CHUNK for o, c in cases)
+    # At the largest cutoff the bulk logs cross 2^-34 inside the first chunk.
+    for r, offs in _COMPACT.items():
+        ps = primes_up_to(2 * 10**6)[_split(offs, 2 * 10**6):].astype(np.float64)
+        small = np.abs(np.log1p(-r / (ps * ps))) < 2.0**-34
+        assert 0 < np.flatnonzero(small)[0] < _CHUNK < small.size and small[_CHUNK:].all()
+
+
+@pytest.mark.parametrize("offs, cutoff", _chunk_edge_cases())
+def test_chunked_pass_gives_the_fsum_bracket(monkeypatch, offs, cutoff):
+    expected = _fsum_bracket(offs, cutoff)
+
+    def no_fallback(values):
+        raise AssertionError("the limb sum fell back to math.fsum")
+
+    monkeypatch.setattr(density.math, "fsum", no_fallback)
+    est = density_constant(offs, cutoff)
+    assert (est.lower, est.upper, est.tail_log_bound) == expected
+
+
+@given(st.lists(st.one_of(
+    st.floats(min_value=2.0**-60, max_value=38.0),
+    st.floats(min_value=-38.0, max_value=-2.0**-60),
+    st.just(0.0),
+), max_size=300), st.lists(st.integers(min_value=0, max_value=300), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_limb_sums_over_any_split_give_the_whole_sum(values, cuts):
+    whole = np.array(values, dtype=np.float64)
+    limbs = [0, 0, 0]
+    bounds = sorted({0, len(values), *(min(c, len(values)) for c in cuts)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        piece = whole[lo:hi].copy()
+        assert _add_limbs(limbs, piece, np.empty(piece.size))
+    assert _round_limbs(limbs) == _exact_sum(whole) == math.fsum(values)
+
+
+def test_limb_sum_spans_chunks():
+    # Several chunks of values near the limb bound, summed in both orders
+    values = np.full(3 * _CHUNK + 5, 37.99)
+    values[::7] = -37.5
+    assert _exact_sum(values) == math.fsum(values.tolist())
+    assert _exact_sum(values[::-1]) == math.fsum(values[::-1].tolist())
+
+
+@pytest.mark.parametrize("values", [[1e20, 1.0], [2.0**30, 2.0**-60], [64.0, -1.5],
+                                    [1.0, math.inf], [-math.inf, 2.0**-70]])
+def test_limb_sum_falls_back_outside_its_domain(values):
+    # |v| >= 2^6 would overflow the first limb's int64 sum
+    assert _exact_sum(np.array(values)) == math.fsum(values)
+    assert not _add_limbs([0, 0, 0], np.array(values), np.empty(len(values)))
+
+
+def test_density_pass_peaks_under_one_mebibyte():
+    primes_up_to(10**7)  # the shared table is built once, outside the pass
+    tracemalloc.start()
+    try:
+        density_constant([0, 2], 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
