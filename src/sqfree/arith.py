@@ -1,7 +1,7 @@
 """Exact elementary arithmetic underpinning the interval sieves.
 
 Everything here is a pure function of its inputs.  The prime table is
-read-only, grows by replacement and is safe to share across threads.
+read-only, grows by extension and is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import MemoryBudgetError
 
 # Inclusive cap on any sieved integer (window end plus largest offset).
 MAX_SUPPORTED = 1 << 62
-# Largest bound primes_up_to will sieve (~128 MiB of flags).
+# Largest bound primes_up_to will sieve: a table of 7,603,553 int64 primes (~61 MB).
 PRIME_SIEVE_CAP = 1 << 27
 # Largest Mobius table (value array dominates memory).
 MOBIUS_SIEVE_CAP = 1 << 26
@@ -90,21 +90,54 @@ def as_offsets(value) -> OffsetTuple:
     return OffsetTuple(tuple(value))
 
 
-def _sieve_primes(bound: int) -> np.ndarray:
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.flatnonzero(flags)  # intp: int64 on every 64-bit platform
-    primes.setflags(write=False)
-    return primes
+# Odd numbers per sieve block: a 256 KiB flag buffer, reused.  The table to
+# 2^27 from nothing, median of 9 processes on a 2-vCPU Xeon (2 MiB L2 per
+# core): 2^16 0.68 s, 2^17 0.56 s, 2^18 0.38 s, 2^19 0.35 s, 2^20 0.29 s; to
+# 2^24: 73, 55, 47, 37 and 44 ms.  Larger blocks save per-prime slice calls,
+# but the buffer and its block's primes are held beside the old and the new
+# table while the table grows: the traced peak of growing 2^21 -> 2^22 is
+# 2.11 times the new table at 2^18, 2.22 at 2^19 and 2.45 at 2^20.
+_SIEVE_BLOCK = 1 << 18
+
+
+def _extend_primes(primes: np.ndarray, bound: int, new_bound: int) -> np.ndarray:
+    """Every prime up to new_bound, as a read-only int64 array, from primes,
+    every prime up to bound: only the odd numbers in (bound, new_bound] are
+    sieved, _SIEVE_BLOCK at a time, each odd prime up to isqrt(new_bound)
+    struck from its first odd multiple at or past both p^2 and the block."""
+    root = math.isqrt(new_bound)
+    if root > bound:  # the base primes first
+        primes, bound = _extend_primes(primes, bound, root), root
+    parts = [primes, np.array([2] if bound < 2 <= new_bound else [], dtype=np.int64)]
+    # the odd primes up to root (primes[0] is 2); odd n = 2i + 1 sits at
+    # index i, and the odd multiples of p at the i = (p - 1)/2 mod p
+    base = primes[1:int(np.searchsorted(primes, root, side="right"))]
+    squares = (base * base - 1) // 2
+    lo, hi = (bound + 1) // 2, (new_bound + 1) // 2
+    flags = np.empty(min(_SIEVE_BLOCK, hi - lo), dtype=bool)
+    for start in range(lo, hi, _SIEVE_BLOCK):
+        block = flags[:min(_SIEVE_BLOCK, hi - start)]
+        block[:] = True
+        live = int(np.searchsorted(squares, start + block.size))
+        ps = base[:live]
+        first = np.maximum(squares[:live], start)
+        first += ((ps - 1) // 2 - first) % ps
+        first -= start
+        for p, j in zip(ps.tolist(), first.tolist()):
+            block[j::p] = False
+        # intp: int64 on every 64-bit platform
+        parts.append(2 * (np.flatnonzero(block) + start) + 1)
+    table = np.concatenate(parts)
+    table.setflags(write=False)
+    return table
 
 
 # The one prime table, as a (bound, primes) pair replaced whole, so a reader
-# in any thread sees a matching pair.  It only grows; the lock keeps two
-# threads from sieving (and holding) two large tables at once.
-_table: tuple[int, np.ndarray] = (1, _sieve_primes(1))
+# in any thread sees a matching pair.  It only grows, by extension: the lock
+# keeps two threads from sieving (and holding) two new ranges at once, and a
+# late small table from replacing a larger one.
+_table: tuple[int, np.ndarray] = (1, np.empty(0, dtype=np.int64))
+_table[1].setflags(write=False)
 _table_lock = threading.Lock()
 
 
@@ -124,17 +157,17 @@ def primes_up_to(bound: int) -> np.ndarray:
         with _table_lock:
             table_bound, primes = _table
             if bound > table_bound:
-                # Sieve to the next power of two, at most the cap, so nearby requests reuse it.
-                table_bound = min(1 << (bound - 1).bit_length(), PRIME_SIEVE_CAP)
-                primes = _sieve_primes(table_bound)
-                _table = (table_bound, primes)
+                # Extend to the next power of two, at most the cap, so nearby requests reuse it.
+                grown = min(1 << (bound - 1).bit_length(), PRIME_SIEVE_CAP)
+                primes = _extend_primes(primes, table_bound, grown)
+                _table = (grown, primes)
     return primes[:int(np.searchsorted(primes, bound, side="right"))]
 
 
 # The Python-int copy of a prefix of the table that trial division walks, as
 # a (bound, primes) pair replaced whole.  It only grows, by doubling, when a
 # cofactor still needs a prime past its end.
-_trial_primes: tuple[int, tuple[int, ...]] = (64, tuple(_sieve_primes(64).tolist()))
+_trial_primes: tuple[int, tuple[int, ...]] = (64, tuple(primes_up_to(64).tolist()))
 
 
 def _trial_division(n: int, root) -> tuple[list[tuple[int, int]], int]:

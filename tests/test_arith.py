@@ -1,3 +1,4 @@
+import bisect
 import math
 import threading
 import time
@@ -235,24 +236,83 @@ def test_growing_the_table_keeps_one_table(monkeypatch):
     assert held < 1.2 * table.nbytes
 
 
+def _reset_table(monkeypatch):
+    empty = np.empty(0, dtype=np.int64)
+    empty.setflags(write=False)
+    monkeypatch.setattr(arith, "_table", (1, empty))
+
+
+def test_growing_the_table_peaks_under_two_and_a_half_tables(monkeypatch):
+    # while it grows, the table holds the old primes, the new range's blocks
+    # and their concatenation, about twice the new table; a flag per integer
+    # of the whole range on top of that reads 3.3 times
+    _reset_table(monkeypatch)
+    tracemalloc.start()
+    try:
+        primes_up_to(1 << 20)
+        primes_up_to(1 << 21)
+        table = primes_up_to(1 << 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.size == 295_947  # pi(2^22)
+    assert peak < 2.5 * table.nbytes
+
+
+_PRIMES_TO_4096 = naive_primes(4096)
+
+
+def _primes_to(bound):
+    return _PRIMES_TO_4096[:bisect.bisect_right(_PRIMES_TO_4096, bound)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_sieve_matches_trial_division(monkeypatch, block):
+    # blocks of 1, 7 and 64 odd numbers put a block end at every residue
+    monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
+    _reset_table(monkeypatch)
+    for bound in range(1, 3001):  # the table grows to each power of two on the way
+        assert primes_up_to(bound).tolist() == _primes_to(bound)
+    # ranges that start or end at p^2 - 1, p^2 or p^2 + 1, where a new base
+    # prime starts striking
+    ends = [1, 2, 3, *(p * p + e for p in _PRIMES_TO_4096[1:12] for e in (-1, 0, 1))]
+    for start, end in zip(ends, ends[1:]):
+        old = np.array(_primes_to(start), dtype=np.int64)
+        assert arith._extend_primes(old, start, end).tolist() == _primes_to(end)
+    for end in ends:
+        assert arith._extend_primes(np.empty(0, dtype=np.int64), 1, end).tolist() == _primes_to(end)
+    for k in range(12):
+        _reset_table(monkeypatch)
+        fresh = primes_up_to(1 << k)
+        assert fresh.tolist() == _primes_to(1 << k)
+        for j in range(k):
+            _reset_table(monkeypatch)
+            primes_up_to(1 << j)
+            grown = primes_up_to(1 << k)
+            assert arith._table[0] == 1 << k
+            assert grown.dtype == np.int64
+            assert not grown.flags.writeable
+            assert np.array_equal(grown, fresh)
+
+
 def test_a_late_small_sieve_never_replaces_a_larger_table(monkeypatch):
     # A request for 2^10 is held inside its sieve until a request for 2^16 in
     # another thread has published its table, or for 0.5 s when the lock keeps
     # that request out.  Publishing the small table last would shrink the one
     # table and lose the large one.
     monkeypatch.setattr(arith, "_table", (1, np.empty(0, dtype=np.int64)))
-    sieve = arith._sieve_primes
+    extend = arith._extend_primes
     small_sieving = threading.Event()
 
-    def late_small_sieve(bound):
-        if bound == 1 << 10:
+    def late_small_sieve(primes, bound, new_bound):
+        if new_bound == 1 << 10:
             small_sieving.set()
             deadline = time.monotonic() + 0.5
             while arith._table[0] < 1 << 16 and time.monotonic() < deadline:
                 time.sleep(0.01)
-        return sieve(bound)
+        return extend(primes, bound, new_bound)
 
-    monkeypatch.setattr(arith, "_sieve_primes", late_small_sieve)
+    monkeypatch.setattr(arith, "_extend_primes", late_small_sieve)
     small = threading.Thread(target=primes_up_to, args=(1 << 10,))
     small.start()
     assert small_sieving.wait(timeout=30)
