@@ -433,21 +433,38 @@ def window_products(window, offsets, primes) -> dict[int, int]:
     return dict(products)
 
 
-# Most solution classes enumerated, one Python int each (about 40 MiB at
-# the cap); inputs with more are counted by the window walk instead.
+# Most solution classes u(d) counted by class enumeration; inputs with more
+# are counted by the window walk instead.  The enumeration holds only the
+# classes of the primes it folds before their modulus passes h, one Python
+# int each: at most min(u(d), r*h) of them.
 CLASS_ENUMERATION_CAP = 1 << 20
 
 
 def _count_congruent_classes(window: Window, class_lists) -> int:
-    residues = [0]
-    modulus = 1
-    for p2, classes in class_lists:
-        inv = pow(modulus % p2, -1, p2)
+    """#{n in the window : n mod p^2 lies in the classes of every (p^2,
+    classes) entry}.  The classes are folded by CRT, largest p^2 first, only
+    while the modulus M is at most h.  With q, t = divmod(h, M), each folded
+    residue a names q elements, plus n = x + 1 + s when s = (a - x - 1) mod
+    M < t.  If primes are left, M > h, so q = 0 and that n counts only if
+    it lies in their classes too.  Folding every prime (all u(d) classes,
+    two floor divisions each) took 188 ms against 80 over the 8,597 form
+    moduli of 18 selberg jobs at levels 60-300, and 42.5 MiB against 0.01
+    for count_congruent(30030, (10**6, 2000), range(13))."""
+    # (1, [0]) is d = 1: every n lies in the one class modulo 1.
+    pending = sorted(class_lists, reverse=True) or [(1, [0])]
+    modulus, residues = pending.pop(0)
+    while pending and modulus <= window.h:
+        p2, classes = pending.pop(0)
+        inv = pow(modulus, -1, p2)
         residues = [a + modulus * (((c - a) * inv) % p2)
                     for a in residues for c in classes]
         modulus *= p2
-    x, hi = window.x, window.end
-    return sum((hi - a) // modulus - (x - a) // modulus for a in residues)
+    q, t = divmod(window.h, modulus)
+    first = window.x + 1
+    hits = [first + s for a in residues if (s := (a - first) % modulus) < t]
+    for p2, classes in pending:
+        hits = [n for n in hits if n % p2 in classes]
+    return q * len(residues) + len(hits)
 
 
 def count_congruent(d: int, window, offsets) -> int:
@@ -455,7 +472,10 @@ def count_congruent(d: int, window, offsets) -> int:
 
     For squarefree d this is the count of n whose squarefull product over the
     pattern is divisible by d.  The solutions form u(d) residue classes
-    modulo d^2, each counted in O(1).  Past CLASS_ENUMERATION_CAP classes
+    modulo d^2.  They are built prime by prime, largest p^2 first, only
+    until the modulus passes h; then each class built names at most one n
+    in the window, tested against the primes left
+    (``_count_congruent_classes``).  Past CLASS_ENUMERATION_CAP classes
     the count is read from the one D(n) walk, ``window_products`` over the
     primes of d: n counts exactly when D(n) = d.
     """

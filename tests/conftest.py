@@ -55,6 +55,30 @@ def naive_squarefull_radical(k: int) -> int:
     return result
 
 
+def naive_prime_factors(d: int) -> list[int]:
+    """Ascending distinct prime factors of d by trial division."""
+    out, m, p = [], d, 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def naive_count_congruent(d: int, x: int, h: int, offsets) -> int:
+    """#{n in (x, x+h] : every prime p | d has p^2 | n + some offset}, by
+    dividing each n + offset by each p^2."""
+    squares = [p * p for p in naive_prime_factors(d)]
+    return sum(
+        1 for n in range(x + 1, x + h + 1)
+        if all(any((n + off) % p2 == 0 for off in offsets) for p2 in squares)
+    )
+
+
 @pytest.fixture(scope="session")
 def oracle_primes_2000():
     return naive_primes(2000)

@@ -37,7 +37,12 @@ from sqfree.arith import (
     residue_class_count_squarefree,
 )
 
-from conftest import naive_count_tuples, naive_is_squarefree, naive_primes
+from conftest import (
+    naive_count_congruent,
+    naive_count_tuples,
+    naive_is_squarefree,
+    naive_primes,
+)
 
 
 # ------------------------------------------------------------- Q(x)
@@ -999,7 +1004,8 @@ def test_walked_congruent_count_matches_classes_and_trial_division(monkeypatch, 
 
 
 def test_count_congruent_large_modulus_uses_classes():
-    # d^2 far above 4h: forces the residue-class path
+    # 103^2 alone passes h: its two classes each name at most one n, which
+    # is tested against the classes of 101^2
     w = (10**7, 50)
     offs = [0, 1]
     d = 101 * 103
@@ -1044,6 +1050,89 @@ def test_count_congruent_memory_is_bounded_at_the_class_cap(r, enumerated, peak_
         1 for n in range(x + 1, x + h + 1)
         if all(any((n + o) % (p * p) == 0 for o in offs) for p in ps)
     )
+
+
+def _full_enumeration_count(window, class_lists):
+    """Every CRT class modulo d^2 built, each counted by two floor divisions."""
+    residues, modulus = [0], 1
+    for p2, classes in class_lists:
+        inv = pow(modulus % p2, -1, p2)
+        residues = [a + modulus * (((c - a) * inv) % p2) for a in residues for c in classes]
+        modulus *= p2
+    return sum((window.end - a) // modulus - (window.x - a) // modulus for a in residues)
+
+
+def _check_congruent_count(d, x, h, offs):
+    got = count_congruent(d, (x, h), offs)
+    assert got == naive_count_congruent(d, x, h, offs)
+    if residue_class_count_squarefree(d, offs) <= 4096:
+        classes = [_congruence_classes(as_offsets(offs), p) for p in prime_factors(d)]
+        assert got == _full_enumeration_count(Window(x, h), classes)
+
+
+# The last four patterns have u(p) < r for a p of the moduli below: 0, 2,
+# 6, 8 and 0, 4, 8 collide modulo 4, 0, 4, 9, 13 modulo 4 and 9, and 0, 1,
+# 49, 50 modulo 49.
+_BOUNDARY_OFFSETS = [[0], [0, 2], [0, 2, 6, 8], [0, 4, 8], [0, 4, 9, 13], [0, 1, 49, 50]]
+
+
+@pytest.mark.parametrize("d, square", [
+    (210, 49), (210, 35**2), (2310, 121), (2310, 77**2), (442, 289), (442, 221**2),
+    (10403, 103**2),
+])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+@pytest.mark.parametrize("x", [0, 987654321, 2**62 - 5 * 10**4])
+def test_count_congruent_where_the_fold_stops_matches_trial_division(d, square, step, x):
+    # The moduli fold largest p^2 first, so h = p^2 - 1, p^2, p^2 + 1 for
+    # the largest p | d, and the same around (p*q)^2 for the two largest,
+    # stop the fold at, just before and just after the modulus reaches h.
+    h = square + step
+    for offs in _BOUNDARY_OFFSETS:
+        _check_congruent_count(d, x, h, offs)
+
+
+@pytest.mark.parametrize("offs", _BOUNDARY_OFFSETS)
+def test_count_congruent_at_the_range_edges_matches_trial_division(offs):
+    top = 2**62
+    for d in (1, 2, 6, 13, 210, 2310, 30030, 10403):
+        for x, h in [(0, 1), (0, 97), (0, 5000),
+                     (top - 1 - offs[-1], 1), (top - 5000 - offs[-1], 5000)]:
+            _check_congruent_count(d, x, h, offs)
+    assert count_congruent(1, (0, 1), offs) == 1
+    assert count_congruent(1, (top - 7 - offs[-1], 7), offs) == 7
+
+
+_PRIMES_TO_50 = naive_primes(50)
+_PRIMES_NEAR_100 = [p for p in naive_primes(130) if p >= 79]
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_PRIMES_TO_50), max_size=5, unique=True).map(math.prod),
+        st.lists(st.sampled_from(_PRIMES_NEAR_100), min_size=2, max_size=2,
+                 unique=True).map(math.prod),
+    ),
+    st.integers(min_value=0, max_value=10**12),
+    st.integers(min_value=1, max_value=5000),
+    st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4, unique=True),
+)
+@settings(max_examples=150, deadline=None)
+def test_count_congruent_matches_trial_division_random(d, x, h, offs):
+    _check_congruent_count(d, x, h, sorted(offs))
+
+
+def test_count_congruent_holds_only_the_folded_classes():
+    # 1,028,196 classes modulo 30030^2, under the cap: 13^2 and 11^2 fold
+    # before the modulus passes h = 2000, so 169 classes are held.
+    d, x, h, offs = 30030, 10**6, 2000, list(range(13))
+    tracemalloc.start()
+    try:
+        got = count_congruent(d, (x, h), offs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got == naive_count_congruent(d, x, h, offs)
 
 
 # ------------------------------------------- congruent count main term
