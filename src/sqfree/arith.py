@@ -92,23 +92,46 @@ def as_offsets(value) -> OffsetTuple:
 
 # Odd numbers per sieve block: a 256 KiB flag buffer, reused.  The table to
 # 2^27 from nothing, median of 9 processes on a 2-vCPU Xeon (2 MiB L2 per
-# core): 2^16 0.68 s, 2^17 0.56 s, 2^18 0.38 s, 2^19 0.35 s, 2^20 0.29 s; to
-# 2^24: 73, 55, 47, 37 and 44 ms.  Larger blocks save per-prime slice calls,
-# but the buffer and its block's primes are held beside the old and the new
-# table while the table grows: the traced peak of growing 2^21 -> 2^22 is
-# 2.11 times the new table at 2^18, 2.22 at 2^19 and 2.45 at 2^20.
+# core): 2^17 0.40 s, 2^18 0.29 s, 2^19 0.25 s, 2^20 0.23 s; to 2^24: 38,
+# 37, 35 and 31 ms.  Larger blocks save per-prime slice calls, but the
+# buffer and its block's primes are held beside the old and the new table
+# while the table grows: the traced peak of growing 2^21 -> 2^22 is 1.71
+# times the new table at 2^17, 1.89 at 2^18, 2.23 at 2^19 and 2.45 at 2^20,
+# and of 2^16 -> 2^24 1.07, 1.12, 1.22 and 1.41.
 _SIEVE_BLOCK = 1 << 18
+
+
+def _prime_count_bound(x: int) -> int:
+    """An upper bound on the number of primes up to x: Dusart's
+    pi(x) <= x/ln x * (1 + 1.2762/ln x) for x > 1 (Math. Comp. 68, 1999),
+    rounded up.  It is 0.70-0.75% over pi(x) from 2^20 to 2^27, and at
+    least 0.0029 over it at every prime up to 2^27."""
+    if x < 2:
+        return 0
+    log = math.log(x)
+    return math.ceil(x / log * (1 + 1.2762 / log))
 
 
 def _extend_primes(primes: np.ndarray, bound: int, new_bound: int) -> np.ndarray:
     """Every prime up to new_bound, as a read-only int64 array, from primes,
     every prime up to bound: only the odd numbers in (bound, new_bound] are
     sieved, _SIEVE_BLOCK at a time, each odd prime up to isqrt(new_bound)
-    struck from its first odd multiple at or past both p^2 and the block."""
+    struck from its first odd multiple at or past both p^2 and the block.
+
+    The new table is one array of _prime_count_bound(new_bound) entries:
+    the old primes are copied in once, each block's primes are written
+    straight after them, and the array is trimmed in place to the primes
+    found.  While it grows, the process holds the old table, the new one and
+    one block."""
     root = math.isqrt(new_bound)
     if root > bound:  # the base primes first
         primes, bound = _extend_primes(primes, bound, root), root
-    parts = [primes, np.array([2] if bound < 2 <= new_bound else [], dtype=np.int64)]
+    table = np.empty(_prime_count_bound(new_bound), dtype=np.int64)
+    count = primes.size
+    table[:count] = primes
+    if bound < 2 <= new_bound:
+        table[count] = 2
+        count += 1
     # the odd primes up to root (primes[0] is 2); odd n = 2i + 1 sits at
     # index i, and the odd multiples of p at the i = (p - 1)/2 mod p
     base = primes[1:int(np.searchsorted(primes, root, side="right"))]
@@ -126,8 +149,13 @@ def _extend_primes(primes: np.ndarray, bound: int, new_bound: int) -> np.ndarray
         for p, j in zip(ps.tolist(), first.tolist()):
             block[j::p] = False
         # intp: int64 on every 64-bit platform
-        parts.append(2 * (np.flatnonzero(block) + start) + 1)
-    table = np.concatenate(parts)
+        found = np.flatnonzero(block)
+        end = count + found.size
+        np.multiply(found, 2, out=table[count:end])
+        table[count:end] += 2 * start + 1
+        count = end
+    # no view of table is alive, so this trims the one array in place
+    table.resize(count)
     table.setflags(write=False)
     return table
 

@@ -55,6 +55,9 @@ PRESIEVE_BLOCK = 1 << 15
 WHEEL = 36
 # Most worker threads count_tuples accepts.
 MAX_THREADS = 64
+# Moduli d per block of count_squarefree's sum: a few int64 arrays of this
+# length at a time, beside the int8 Mobius table to sqrt(x).
+SQUAREFREE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,15 +103,20 @@ def count_squarefree(x: int) -> int:
     """Exact number of squarefree integers in [1, x].
 
     Inclusion-exclusion over square moduli: sum of mu(d) * floor(x / d^2)
-    for d up to sqrt(x).
+    for d up to sqrt(x), SQUAREFREE_BLOCK values of d at a time.  Each
+    block's int64 sum is exact: the Mobius table's cap keeps x below 2^53,
+    and the terms' magnitudes add up to less than 2x.
     """
     x = int(x)
     if x < 1 or x > MAX_SUPPORTED:
         raise ValueError("x must lie in [1, 2^62]")
     s = math.isqrt(x)
-    mu = mobius_up_to(s).astype(np.int64)
-    d = np.arange(1, s + 1, dtype=np.int64)
-    return int(np.sum(mu[1:] * (x // (d * d))))
+    mu = mobius_up_to(s)
+    total = 0
+    for lo in range(1, s + 1, SQUAREFREE_BLOCK):
+        d = np.arange(lo, min(lo + SQUAREFREE_BLOCK, s + 1), dtype=np.int64)
+        total += int(np.dot(mu[lo:lo + d.size], x // (d * d)))
+    return total
 
 
 def full_level(window, offsets) -> float:

@@ -234,6 +234,8 @@ def test_growing_the_table_keeps_one_table(monkeypatch):
         tracemalloc.stop()
     assert table.size == 295_947  # pi(2^22)
     assert held < 1.2 * table.nbytes
+    kept = arith._table[1]  # one array, trimmed to its primes in place
+    assert kept.base is None and kept.size == table.size
 
 
 def _reset_table(monkeypatch):
@@ -242,21 +244,31 @@ def _reset_table(monkeypatch):
     monkeypatch.setattr(arith, "_table", (1, empty))
 
 
-def test_growing_the_table_peaks_under_two_and_a_half_tables(monkeypatch):
-    # while it grows, the table holds the old primes, the new range's blocks
-    # and their concatenation, about twice the new table; a flag per integer
-    # of the whole range on top of that reads 3.3 times
+@pytest.mark.parametrize("old,new,tables", [(16, 24, 1.25), (23, 24, 1.75)])
+def test_a_growth_step_holds_the_old_table_and_one_new_one(monkeypatch, old, new, tables):
+    # the step writes into one array sized by Dusart's bound, beside the old
+    # table and one block: 1.12 and 1.62 new tables; a list of per-block
+    # arrays and their concatenation held 2.03 in both steps
     _reset_table(monkeypatch)
     tracemalloc.start()
     try:
-        primes_up_to(1 << 20)
-        primes_up_to(1 << 21)
-        table = primes_up_to(1 << 22)
+        primes_up_to(1 << old)
+        tracemalloc.reset_peak()
+        table = primes_up_to(1 << new)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.size == 295_947  # pi(2^22)
-    assert peak < 2.5 * table.nbytes
+    assert table.size == 1_077_871  # pi(2^24)
+    assert peak < tables * table.nbytes
+
+
+def test_the_allocation_bound_covers_every_prime_count():
+    primes = primes_up_to(1 << 22).tolist()
+    # pi(p) at the prime p is where the bound is tightest
+    assert all(arith._prime_count_bound(p) >= i for i, p in enumerate(primes, 1))
+    for k in range(25):
+        assert arith._prime_count_bound(1 << k) >= primes_up_to(1 << k).size
+    assert arith._prime_count_bound(1) == 0
 
 
 _PRIMES_TO_4096 = naive_primes(4096)

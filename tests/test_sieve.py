@@ -57,6 +57,31 @@ def test_count_squarefree_matches_trial_division():
         assert count_squarefree(x) == sum(1 for n in range(1, x + 1) if naive_is_squarefree(n))
 
 
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_count_squarefree_is_the_same_in_any_block(monkeypatch, block):
+    # blocks of 1 and 7 moduli end at every d of the small sums; blocks of
+    # 1000 split the million moduli of Q(10^12)
+    monkeypatch.setattr(sieve, "SQUAREFREE_BLOCK", block)
+    for x in (1, 3, 4, 48, 49, 50, 4321):
+        assert count_squarefree(x) == sum(1 for n in range(1, x + 1) if naive_is_squarefree(n))
+    if block == 1000:
+        assert count_squarefree(10**12) == 607_927_102_274
+
+
+def test_count_squarefree_holds_a_few_bytes_per_modulus():
+    # the sum goes SQUAREFREE_BLOCK moduli at a time beside the int8 Mobius
+    # table; int64 arrays over every d up to sqrt(x) held 32 bytes per d,
+    # 128 MiB here
+    x = 1 << 44
+    tracemalloc.start()
+    try:
+        assert count_squarefree(x) == 10_694_766_677_567
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * math.isqrt(x)  # the Mobius build's 6 bytes per d, and a block
+
+
 def test_count_squarefree_range_check():
     with pytest.raises(ValueError):
         count_squarefree(0)
