@@ -18,8 +18,19 @@ from .errors import MemoryBudgetError
 MAX_SUPPORTED = 1 << 62
 # Largest bound primes_up_to will sieve: a table of 7,603,553 int64 primes (~61 MB).
 PRIME_SIEVE_CAP = 1 << 27
-# Largest Mobius table (value array dominates memory).
+# Largest Mobius table mobius_up_to returns (the table dominates memory).
 MOBIUS_SIEVE_CAP = 1 << 26
+# d per block of mobius_blocks: 6 bytes per d of buffers.
+MOBIUS_BLOCK = 1 << 16
+# i for each entry i of a block, shared read-only by every call (256 KiB).
+_BLOCK_INDEX = np.arange(MOBIUS_BLOCK, dtype=np.uint32)
+_BLOCK_INDEX.flags.writeable = False
+# The block buffers a finished mobius_blocks call left in this thread, for
+# the next call to take.  Made and freed anew per call, they left the heap
+# top to be trimmed and faulted in again by the segment kernel: a 10 s
+# wide_window benchmark run took about 450k minor faults, against 230k with
+# the buffers kept.
+_spare_buffers = threading.local()
 
 # Most int64 residues residue_class_counts holds at once.
 _RESIDUE_BLOCK = 1 << 20
@@ -321,8 +332,71 @@ def residue_class_count_squarefree(d: int, offsets) -> int:
     return math.prod(len(_congruence_classes(l, p)[1]) for p in squarefree_prime_factors(d))
 
 
+def mobius_blocks(stop: int, block: int = MOBIUS_BLOCK):
+    """The Mobius function on [1, stop], stop <= 2^31, as (lo, mu) pairs in
+    ascending order: mu[i] = mu(lo + i), an int8 view of a reused buffer of
+    at most ``block`` entries, valid until the next pair is drawn or the
+    generator ends.
+
+    The one Mobius builder.  Per block [lo, hi), each prime p up to
+    isqrt(hi - 1) multiplies -p into an int32 product at its multiples and
+    p^2 zeroes it at its multiples, so entry d ends as 0 (p^2 | d) or
+    +-(the product of d's primes up to that root), the sign mu's.  A
+    squarefree d whose product is not d has exactly one prime factor above
+    the root, and its sign flips.  The product divides d's radical, which
+    is below 2^31, so it fits int32.  The buffers are those the last
+    finished call in this thread left, or new ones, and are left for the
+    next call."""
+    stop, block = int(stop), int(block)
+    if not 1 <= stop <= 1 << 31:
+        raise ValueError("stop must lie in [1, 2^31]")
+    primes = primes_up_to(max(1, math.isqrt(stop)))
+    squares = primes * primes
+    plist = primes.tolist()
+    size = min(block, stop)
+    index = _BLOCK_INDEX if size <= _BLOCK_INDEX.size else np.arange(size, dtype=np.uint32)
+    buffers, _spare_buffers.buffers = getattr(_spare_buffers, "buffers", None), None
+    if buffers is None or buffers[0].size < size:
+        buffers = (np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int8),
+                   np.empty(size, dtype=bool))
+    product, mu, same = buffers
+    try:
+        for lo in range(1, stop + 1, block):
+            n = min(block, stop + 1 - lo)
+            live = int(np.searchsorted(primes, math.isqrt(lo + n - 1), side="right"))
+            # p^2 below the block length strikes it strided, the rest at most once
+            strided = int(np.searchsorted(squares, n))
+            a = product[:n]
+            a.fill(1)
+            for p in plist[:live]:
+                a[(-lo) % p::p] *= -p
+            for p2 in squares[:min(strided, live)].tolist():
+                a[(-lo) % p2::p2] = 0
+            if live > strided:
+                first = np.remainder(-lo, squares[strided:live])
+                a[first[first < n]] = 0
+            m, f = mu[:n], same[:n]
+            np.sign(a, out=m, casting="unsafe")
+            np.abs(a, out=a)
+            # |product| == lo + i, as |product| - i == lo: a product below i
+            # wraps past 2^31 >= lo
+            u = a.view(np.uint32)
+            u -= index[:n]
+            np.equal(u, lo, out=f)
+            # mu = sign * (2*same - 1): a masked negate takes ten times as long
+            f = f.view(np.int8)
+            f *= 2
+            f -= 1
+            m *= f
+            yield lo, m
+    finally:
+        _spare_buffers.buffers = buffers
+
+
 def mobius_up_to(n: int) -> np.ndarray:
-    """Mobius function on [0, n] as an int8 array (index 0 is 0)."""
+    """Mobius function on [0, n] as an int8 array (index 0 is 0), copied
+    block by block from ``mobius_blocks``: the table and one block's
+    buffers are all it holds."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -330,13 +404,8 @@ def mobius_up_to(n: int) -> np.ndarray:
         raise MemoryBudgetError(
             f"Mobius sieve bound {n} exceeds the configured cap {MOBIUS_SIEVE_CAP}"
         )
-    mu = np.ones(n + 1, dtype=np.int8)
+    mu = np.empty(n + 1, dtype=np.int8)
     mu[0] = 0
-    val = np.arange(n + 1, dtype=np.int32)  # n <= MOBIUS_SIEVE_CAP < 2^31
-    for p in primes_up_to(math.isqrt(n)).tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        val[p::p] //= p
-    # entries keeping a cofactor > 1 carry exactly one extra large prime
-    mu[val > 1] *= -1
+    for lo, values in mobius_blocks(n):
+        mu[lo:lo + values.size] = values
     return mu

@@ -23,7 +23,7 @@ from .arith import (
     _congruence_classes,
     _icbrt,
     as_offsets,
-    mobius_up_to,
+    mobius_blocks,
     primes_up_to,
     residue_class_count_squarefree,
     squarefree_prime_factors,
@@ -55,8 +55,21 @@ PRESIEVE_BLOCK = 1 << 15
 WHEEL = 36
 # Most worker threads count_tuples accepts.
 MAX_THREADS = 64
-# Moduli d per block of count_squarefree's sum: a few int64 arrays of this
-# length at a time, beside the int8 Mobius table to sqrt(x).
+# C of the path rule: a full-level window of one coordinate with h >= C *
+# sqrt(window end + offset) is counted by the Mobius sum, not the kernel.
+# The sum costs about 7-10 ns per d <= sqrt(end) (its first block of d,
+# all divisions, more), the wheeled kernel at r = 1 about 0.17 ns per
+# element.  Kernel time over sum time, r = 1, h = c*sqrt(x), median of 5
+# alternating runs in one process on a 2-vCPU Xeon:
+#   c        12.5  25    50    100   200   400   800
+#   x = 1e8  1.08  1.16  1.57  1.90  2.91  4.77  8.77
+#   x = 1e10 0.43  0.57  0.98  1.65  3.24  5.14  11.9
+#   x = 1e12 0.38  0.61  1.19  2.41  4.67  9.82  14.7
+#   x = 1e14 0.14  0.54  1.16  1.77  3.70  7.00  14.0
+# They break even near c = 50 from 1e10 on; from c = 100 the sum is at
+# least 1.65 times as fast at every x, a margin over this machine's noise.
+MOBIUS_SUM_RATIO = 100
+# Moduli d per block of the Mobius sum.
 SQUAREFREE_BLOCK = 1 << 16
 
 
@@ -99,24 +112,66 @@ def _window_args(window, offsets) -> tuple[Window, OffsetTuple]:
     return w, l
 
 
-def count_squarefree(x: int) -> int:
-    """Exact number of squarefree integers in [1, x].
+def _squarefree_between(lo: int, hi: int) -> int:
+    """#{squarefree n in (lo, hi]}, 0 <= lo < hi <= 2^62: the sum of
+    mu(d) * (hi // d^2 - lo // d^2) over d <= isqrt(hi), in one pass over
+    the blocks of ``mobius_blocks`` (``_mobius_block_sum``)."""
+    return sum(_mobius_block_sum(mu, start, lo, hi)
+               for start, mu in mobius_blocks(math.isqrt(hi), SQUAREFREE_BLOCK))
 
-    Inclusion-exclusion over square moduli: sum of mu(d) * floor(x / d^2)
-    for d up to sqrt(x), SQUAREFREE_BLOCK values of d at a time.  Each
-    block's int64 sum is exact: the Mobius table's cap keeps x below 2^53,
-    and the terms' magnitudes add up to less than 2x.
+
+def _mobius_block_sum(mu: np.ndarray, start: int, lo: int, hi: int) -> int:
+    """The sum of mu(d) * (hi // d^2 - lo // d^2) over the block of d from
+    start, mu[i] = mu(start + i).
+
+    The sum counts the pairs (k, d) with lo < k*d^2 <= hi, weighted by
+    mu(d).  When the block's k are under a 64th of its d and its pairs
+    under a 16th, mu is gathered at the pairs: for each k, the d in
+    (isqrt(lo // k), isqrt(hi // k)].  A block from d = s holds about
+    h*n/s^2 pairs, so every block past 4*sqrt(h), and all but the first
+    block or two of a short window, gathers.  Any other block takes two
+    divisions per d, in pieces of 2^13 d.  The temporaries of the gather
+    stay below those of one piece, so the peak does not grow with hi.  The
+    int64 sums are exact: the terms' magnitudes add up to less than
+    2*hi <= 2^63."""
+    n = mu.size
+    last = start + n - 1
+    k_lo, k_hi = lo // (last * last) + 1, hi // (start * start)
+    if k_hi - k_lo < n // 64:
+        k = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+        first = np.clip(_isqrt(lo // k) + 1 - start, 0, n)
+        counts = np.clip(_isqrt(hi // k) + 1 - start, first, n) - first
+        pairs = int(counts.sum())
+        if pairs < n // 16:
+            # run j of each k's block takes index first + j
+            skip = np.cumsum(counts) - counts
+            return int(mu[np.repeat(first - skip, counts) + np.arange(pairs)].sum(dtype=np.int64))
+    total = 0
+    # int64 temporaries of 64 KiB, reused from the heap rather than mapped
+    # and faulted in anew
+    for j in range(0, n, 1 << 13):
+        d2 = np.arange(start + j, start + min(j + (1 << 13), n), dtype=np.int64)
+        d2 *= d2
+        terms = hi // d2
+        if lo:
+            terms -= lo // d2
+        total += int(np.dot(mu[j:j + d2.size], terms))
+    return total
+
+
+def count_squarefree(x: int) -> int:
+    """Exact number of squarefree integers in [1, x], x <= 2^62.
+
+    Inclusion-exclusion over square moduli: the sum of mu(d) * floor(x /
+    d^2) over d up to sqrt(x), the window (0, x] of the one Mobius sum that
+    ``count_tuples`` also reads, ``_squarefree_between``.  It holds one
+    block of SQUAREFREE_BLOCK moduli at a time, whatever x is: a traced
+    peak of 0.61 MiB at 2^44 and at 2^46.
     """
     x = int(x)
     if x < 1 or x > MAX_SUPPORTED:
         raise ValueError("x must lie in [1, 2^62]")
-    s = math.isqrt(x)
-    mu = mobius_up_to(s)
-    total = 0
-    for lo in range(1, s + 1, SQUAREFREE_BLOCK):
-        d = np.arange(lo, min(lo + SQUAREFREE_BLOCK, s + 1), dtype=np.int64)
-        total += int(np.dot(mu[lo:lo + d.size], x // (d * d)))
-    return total
+    return _squarefree_between(0, x)
 
 
 def full_level(window, offsets) -> float:
@@ -337,6 +392,33 @@ def _count_segment(alive: np.ndarray, base: int, length: int, plan: _Plan) -> in
     return total
 
 
+def _count_kernel(w: Window, l: OffsetTuple, tops: list, threads: int) -> int:
+    """The segment kernel: count n in the window with no m <= tops[i],
+    m^2 | n + offset_i, for every coordinate i (see ``count_tuples``)."""
+    bound = _cofactor_bound(w.end + l.offsets[-1])
+    size = min(SEGMENT_SIZE, w.h)
+    plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound, size, _wheel(w.h))
+    workers = min(threads, -(-w.h // size))
+
+    def worker(k: int) -> int:
+        alive = np.empty(plan.sub, dtype=bool)
+        segments = itertools.islice(_segments(w.x, w.h, size), k, None, workers)
+        return sum(_count_segment(alive, *segment, plan) for segment in segments)
+
+    if workers == 1:
+        return worker(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(worker, range(workers)))
+
+
+def _mobius_sum_wins(w: Window, l: OffsetTuple, tops: list) -> bool:
+    """The path rule: the Mobius sum counts a full-level window of one
+    coordinate once h >= MOBIUS_SUM_RATIO * isqrt(window end + offset);
+    every other window goes to the kernel."""
+    root = math.isqrt(w.end + l.offsets[0])
+    return l.r == 1 and tops[0] == root and w.h >= MOBIUS_SUM_RATIO * root
+
+
 def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     """Count n in the window with no prime p < z_i whose square divides
     n + offset_i, for every coordinate i.
@@ -344,6 +426,13 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
     ``z`` may be a single level applied to every coordinate or a sequence of
     per-coordinate levels; the default level 2*sqrt(window end + largest
     offset) turns the test into full squarefreeness of every shifted value.
+
+    A window of one coordinate at a full level (every m^2 up to window end
+    plus offset) with h >= MOBIUS_SUM_RATIO * sqrt(window end + offset) is
+    counted as the sum of mu(d) * (floor((x + h + l)/d^2) - floor((x +
+    l)/d^2)) over d <= sqrt(x + h + l), in O(sqrt(x)) with one block of
+    Mobius values at a time (``_squarefree_between``); ``threads`` does not
+    enter it.  Every other window goes to the segment kernel:
 
     The window is cut into segments of SEGMENT_SIZE.  Per segment, one
     sorted int32 array lists every strike of the prime squares from
@@ -378,20 +467,9 @@ def count_tuples(window, offsets, z=None, *, threads: int = 1) -> int:
                              else f"sieve level z must be finite, not {level}")
         # Only m < level with m^2 <= window end + offset matter.
         tops.append(min(math.isqrt(w.end + off), math.ceil(level) - 1))
-    bound = _cofactor_bound(w.end + l.offsets[-1])
-    size = min(SEGMENT_SIZE, w.h)
-    plan = _plan(l.offsets, tops, primes_up_to(min(max(tops), bound)), bound, size, _wheel(w.h))
-    workers = min(threads, -(-w.h // size))
-
-    def worker(k: int) -> int:
-        alive = np.empty(plan.sub, dtype=bool)
-        segments = itertools.islice(_segments(w.x, w.h, size), k, None, workers)
-        return sum(_count_segment(alive, *segment, plan) for segment in segments)
-
-    if workers == 1:
-        return worker(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(worker, range(workers)))
+    if _mobius_sum_wins(w, l, tops):
+        return _squarefree_between(w.x + l.offsets[0], w.end + l.offsets[0])
+    return _count_kernel(w, l, tops, threads)
 
 
 # Elements per window-walk segment (8 bytes each).  Of 2^12 .. 2^20, 2^16

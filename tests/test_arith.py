@@ -515,3 +515,55 @@ def test_mobius_cap(monkeypatch):
     monkeypatch.setattr(arith, "MOBIUS_SIEVE_CAP", 10**5)
     with pytest.raises(MemoryBudgetError):
         mobius_up_to(10**6)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64, 1000, 1 << 16])
+def test_mobius_blocks_cover_the_range_in_any_block(block):
+    # every block edge of the small blocks, and the per-block prime bound
+    # and placed squares of the larger ones
+    mu = mobius_up_to(5000).tolist()
+    for stop in (1, 2, 3, 4, 5, 48, 49, 50, 4999, 5000):
+        seen = [0]
+        for lo, values in arith.mobius_blocks(stop, block):
+            assert lo == len(seen) and 1 <= values.size <= block
+            seen += values.tolist()
+        assert seen == mu[:stop + 1]
+
+
+def test_mobius_up_to_holds_the_table_and_one_block():
+    # an int32 cofactor array and a bool mask over the whole range held
+    # 6.8 bytes per entry beside the table
+    n = 1 << 22
+    primes_up_to(1 << 12)
+    arith._spare_buffers.buffers = None  # the call makes its block buffers
+    tracemalloc.start()
+    try:
+        mu = mobius_up_to(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mu.dtype == np.int8 and mu.size == n + 1
+    assert int(mu.sum()) == 228  # Mertens M(2^22)
+    assert peak < n + 16 * arith.MOBIUS_BLOCK
+
+
+def test_mobius_blocks_reuse_buffers_but_never_share_them():
+    # a generator drawn inside another takes buffers of its own; once both
+    # end, the next call takes the ones left behind
+    expected = mobius_up_to(5000).tolist()
+    outer = arith.mobius_blocks(5000, 1000)
+    lo, first = next(outer)
+    kept = first.copy()
+    assert [v for _, values in arith.mobius_blocks(5000, 1000)
+            for v in values.tolist()] == expected[1:]
+    assert first.tolist() == kept.tolist() == expected[1:1001]
+    assert [v for _, values in outer for v in values.tolist()] == expected[1001:]
+    left = arith._spare_buffers.buffers
+    lo, again = next(arith.mobius_blocks(5000, 1000))
+    assert np.shares_memory(again, left[1])
+
+
+@pytest.mark.parametrize("stop", [0, -1, (1 << 31) + 1])
+def test_mobius_blocks_refuse_a_stop_outside_1_to_2_31(stop):
+    with pytest.raises(ValueError, match=r"stop must lie in \[1, 2\^31\]"):
+        next(arith.mobius_blocks(stop))

@@ -180,6 +180,24 @@ def test_ledger_rows_are_counted_without_building_them():
     assert report.ledger is report.ledger
 
 
+@pytest.mark.parametrize("cutoff", [2.0, 5.0, 31.0])
+def test_r1_exact_count_by_the_mobius_sum_reconciles(monkeypatch, cutoff):
+    # h = 3e5 is 335 times sqrt(x + h): the exact count takes the Mobius
+    # sum, the base count (a partial level) the kernel, and the ledger its
+    # own marks, so reconciliation == 0 ties the sum to the other two.
+    window = (5 * 10**5, 3 * 10**5)
+    assert window[1] >= sieve.MOBIUS_SUM_RATIO * math.isqrt(sum(window))
+    paths = []
+    between, kernel = sieve._squarefree_between, sieve._count_kernel
+    monkeypatch.setattr(sieve, "_squarefree_between",
+                        lambda *a: paths.append("mobius") or between(*a))
+    monkeypatch.setattr(sieve, "_count_kernel", lambda *a: paths.append("kernel") or kernel(*a))
+    report = buchstab_decompose(window, [0], cutoff)
+    assert paths == ["kernel", "mobius"]
+    assert report.exact_count == sum(naive_is_squarefree(n) for n in range(5 * 10**5 + 1, 8 * 10**5 + 1))
+    assert report.reconciliation == 0
+
+
 def test_ledger_adds_no_window_count(monkeypatch):
     # Only the base and exact counts run the sieve; the rows come from their
     # own marks, so reconciliation compares two independent paths.

@@ -487,6 +487,24 @@ def test_thread_count_does_not_change_output(tmp_path):
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_thread_count_does_not_change_the_mobius_sum_output(tmp_path, monkeypatch):
+    # r = 1 windows of 2 to 400 times sqrt(x + h): the first goes to the
+    # kernel, the others to the Mobius sum, which runs on one thread
+    between = sieve._squarefree_between
+    sums = []
+    monkeypatch.setattr(sieve, "_squarefree_between", lambda *a: sums.append(a) or between(*a))
+    for x, h in (("10_000_000_000", "200_000"), ("10_000_000_000", "40_000_000"),
+                 ("99_000_000", "1_000_000")):
+        outputs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"{x}-{h}-t{threads}.csv"
+            assert main(["count", "--x", x, "--h", h, "--offsets", "0",
+                         "--threads", threads, "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+    assert len(sums) == 4
+
+
 def test_script_out_matches_stdout(tmp_path):
     script = str(Path(__file__).resolve().parent.parent / "scripts" / "square_multiple_table.py")
     argv = [sys.executable, script, "--x", "10000000", "--scales", "1,2"]

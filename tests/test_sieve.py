@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqfree import sieve
+from sqfree import arith, sieve
 from sqfree.sieve import (
     CLASS_ENUMERATION_CAP,
     MAX_THREADS,
@@ -91,6 +91,61 @@ def test_window_counts_match_prefix_difference():
     for x, h in [(0, 10), (999, 137), (12345, 678)]:
         prefix = count_squarefree(x) if x >= 1 else 0
         assert count_tuples((x, h), [0]) == count_squarefree(x + h) - prefix
+
+
+def _kernel(x, h, offsets=(0,), threads=1, tops=None):
+    """The segment kernel alone, at the full level unless tops are given,
+    whichever path count_tuples would take."""
+    w, l = sieve._window_args((x, h), offsets)
+    if tops is None:
+        tops = [math.isqrt(w.end + off) for off in l.offsets]
+    return sieve._count_kernel(w, l, tops, threads)
+
+
+def test_kernel_window_counts_match_prefix_difference():
+    for x, h in [(0, 10), (999, 137), (12345, 678)]:
+        prefix = count_squarefree(x) if x >= 1 else 0
+        assert _kernel(x, h) == count_squarefree(x + h) - prefix
+
+
+def test_count_squarefree_holds_the_same_peak_at_four_times_the_range():
+    # one block of d at a time: the Mobius table, a cofactor array and a
+    # mask over every d <= sqrt(x) held 27.4 MiB at 2^44 and 54.7 MiB at 2^46
+    primes_up_to(1 << 12)
+    peaks = []
+    for x, expected in ((1 << 44, 10_694_766_677_567), (1 << 46, 42_779_066_708_781)):
+        arith._spare_buffers.buffers = None  # each call makes its block buffers
+        tracemalloc.start()
+        try:
+            assert count_squarefree(x) == expected
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _squarefree_prefix(n):
+    """#{squarefree m <= k} for every k <= n, from one table of n + 1 flags
+    struck at the multiples of every square."""
+    free = np.ones(n + 1, dtype=bool)
+    free[0] = False
+    for m in range(2, math.isqrt(n) + 1):
+        free[m * m::m * m] = False
+    return np.cumsum(free)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1000, 1 << 16])
+def test_mobius_sum_matches_a_square_sieve_in_any_block(monkeypatch, block):
+    # Small blocks put most d of the short windows in blocks gathered per
+    # k, and the first blocks and the long windows' in blocks of divisions.
+    monkeypatch.setattr(sieve, "SQUAREFREE_BLOCK", block)
+    prefix = _squarefree_prefix(300_000)
+    rng = random.Random(block)
+    windows = [(0, 300_000), (0, 1), (299_999, 1), (1, 299_999)]
+    windows += [(lo, rng.randrange(1, 300_001 - lo))
+                for lo in (rng.randrange(300_000) for _ in range(60))]
+    for lo, h in windows:
+        assert sieve._squarefree_between(lo, lo + h) == prefix[lo + h] - prefix[lo]
 
 
 # ------------------------------------------------------------- windows
@@ -429,6 +484,14 @@ def test_kernel_spans_several_segments_against_prefix_difference():
         assert count_tuples((x, h), [0]) == count_squarefree(x + h) - count_squarefree(x)
 
 
+def test_kernel_alone_spans_several_segments_against_prefix_difference():
+    # The same windows through the kernel itself: (1e10, 4e7) is counted by
+    # the Mobius sum in count_tuples, so only this keeps the kernel checked
+    # against Q(x + h) - Q(x) there.
+    for x, h in ((10**12, 10**8), (10**10, 4 * 10**7)):
+        assert _kernel(x, h) == count_squarefree(x + h) - count_squarefree(x)
+
+
 def _squarefree_by_trial_division(values):
     """Per-value trial division, vectorised over values up to about 1.001e12:
     a value with no p^2 | m for p <= 10^4 keeps, after dividing out those p,
@@ -476,6 +539,96 @@ def test_kernel_peak_memory_is_bounded_by_segment_buffers(offsets):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# ------------------------------------------------ the Mobius sum's path
+
+
+class _Paths:
+    """Counts the calls of each path count_tuples can take."""
+
+    def __init__(self, monkeypatch):
+        self.mobius = self.kernel = 0
+        between, kernel = sieve._squarefree_between, sieve._count_kernel
+
+        def mobius_sum(*args):
+            self.mobius += 1
+            return between(*args)
+
+        def segment_kernel(*args):
+            self.kernel += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(sieve, "_squarefree_between", mobius_sum)
+        monkeypatch.setattr(sieve, "_count_kernel", segment_kernel)
+
+
+def _rule_windows():
+    """(x, h, offset, Mobius sum expected) on both sides of the rule
+    h >= C * isqrt(x + h + offset): window ends at d^2 - 1, d^2 and d^2 + 1,
+    offsets 0 and 5, and windows from x = 0."""
+    c = sieve.MOBIUS_SUM_RATIO
+    out = [(0, h, 0, h >= c * math.isqrt(h)) for h in (c * c - c - 1, c * c - 1, c * c, 3 * c * c)]
+    for d in (c + 7, 2 * c + 1, 3 * c):
+        for end in (d * d - 1, d * d, d * d + 1):
+            root = math.isqrt(end)
+            for off in (0, 5):
+                for h in (c * root - 1, c * root):
+                    out.append((end - off - h, h, off, h == c * root))
+    return out
+
+
+def test_mobius_sum_and_rule_match_per_n_trial_division(monkeypatch):
+    windows = _rule_windows()
+    assert {taken for *_, taken in windows} == {True, False}
+    paths = _Paths(monkeypatch)
+    for x, h, off, taken in windows:
+        n = np.arange(x + 1, x + h + 1, dtype=np.int64) + off
+        expected = int(_squarefree_by_trial_division(n).sum())
+        before = paths.mobius, paths.kernel
+        assert count_tuples((x, h), [off]) == expected
+        assert (paths.mobius - before[0], paths.kernel - before[1]) == (
+            (1, 0) if taken else (0, 1))
+
+
+def test_windows_off_the_rule_stay_on_the_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Mobius sum ran")
+
+    # all long enough for the sum: 1e8 + 1e7 has root 10,488
+    x, h = 10**8, 10**7
+    full = math.isqrt(x + h)
+    expected = {
+        "partial level": _kernel(x, h, tops=[full - 1]),
+        "r = 2": _kernel(x, h, [0, 1]),
+        "deep window": _kernel(10**15, 10**6),
+    }
+    monkeypatch.setattr(sieve, "_squarefree_between", refuse)
+    with pytest.raises(AssertionError, match="the Mobius sum ran"):
+        count_tuples((x, h), [0])
+    assert count_tuples((x, h), [0], z=full) == expected["partial level"]
+    assert count_tuples((x, h), [0, 1]) == expected["r = 2"]
+    assert count_tuples((10**15, 10**6), [0]) == expected["deep window"]
+
+
+def test_mobius_sum_peak_does_not_grow_with_the_root(monkeypatch):
+    # sqrt(end) = 1e6 and 1e7: one block of d at a time (0.58 and 0.60 MiB
+    # traced); the int8 Mobius table to 1e7 alone would be 9.5 MiB
+    paths = _Paths(monkeypatch)
+    primes_up_to(1 << 12)
+    peaks = []
+    for x, h, expected in ((10**12 - 10**9, 10**9, 607_927_192),
+                           (10**14 - 10**10, 10**10, 6_079_270_866)):
+        arith._spare_buffers.buffers = None  # each call makes its block buffers
+        tracemalloc.start()
+        try:
+            assert count_tuples((x, h), [0]) == expected
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (paths.mobius, paths.kernel) == (2, 0)
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 8 * 2**20
 
 
 # ------------------------------------------------------------ wheel
@@ -712,6 +865,8 @@ def test_sub_block_edges_match_per_n_test(monkeypatch, blocking, kind):
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment)
     assert count_tuples((x, h), offsets) == expected
     assert count_tuples((x, h), offsets, threads=2) == expected
+    # one r = 1 window here is long enough for the Mobius sum
+    assert _kernel(x, h, offsets, threads=2) == expected
 
 
 @given(
