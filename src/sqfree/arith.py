@@ -165,8 +165,11 @@ def _extend_primes(primes: np.ndarray, bound: int, new_bound: int) -> np.ndarray
         np.multiply(found, 2, out=table[count:end])
         table[count:end] += 2 * start + 1
         count = end
-    # no view of table is alive, so this trims the one array in place
-    table.resize(count)
+    # Trims the one array in place, safe only while no view of table is
+    # alive, as none is here.  No reference check: a trace or profile
+    # function's snapshot of this frame's locals holds table itself, not a
+    # view, and the check would refuse it.
+    table.resize(count, refcheck=False)
     table.setflags(write=False)
     return table
 

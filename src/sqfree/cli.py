@@ -308,7 +308,3 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     return exit_code(lambda: emit(run_command(args), args.format, args.out))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import as_offsets, primes_up_to, residue_class_counts
-from .errors import DegenerateTupleError
+from .errors import ContractViolation, DegenerateTupleError
 
 DEFAULT_PRIME_CUTOFF = 10_000_000
 
@@ -58,6 +58,11 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
     one pass over the prime table, _CHUNK primes at a time: each chunk's
     logs are made and cut into exact limbs in two reused buffers (see
     ``_add_limbs``; per-chunk int64 sums put no bound on the table size).
+    Every log v lies in the limbs' domain.  It is log1p(-u/p^2) with
+    1 <= u <= r <= cutoff/2 <= 2^26, u < p^2 and p < PRIME_SIEVE_CAP = 2^27,
+    so u/p^2 and 1 - u/p^2 are both above 1/2^54, and rounding keeps them
+    at 2^-55 or more.  Hence 2^-55 <= |v| <= 55*log(2) < 39, below 2^6,
+    and the lowest bit of v is at least 2^-107, on the 2^-114 grid.
     The omitted tail over primes beyond the cutoff is covered by
     2r/(prime_cutoff - 1): each omitted factor satisfies
     -log(1 - u(p)/p^2) <= 2r/p^2 (valid since p > cutoff >= 2r forces
@@ -81,24 +86,21 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
             return EulerEstimate(0.0, 0.0, cutoff, 0.0, True)
         explicit_logs.append(math.log1p(-u / (p * p)))
 
-    def log_chunks():
-        head = np.array(explicit_logs, dtype=np.float64)
-        yield from (head[lo:lo + _CHUNK] for lo in range(0, split, _CHUNK))
-        chunk = np.empty(min(_CHUNK, ps.size - split), dtype=np.float64)
-        for lo in range(split, ps.size, _CHUNK):
-            logs = chunk[:min(_CHUNK, ps.size - lo)]
-            logs[:] = ps[lo:lo + logs.size]
-            np.multiply(logs, logs, out=logs)
-            np.divide(-r, logs, out=logs)
-            np.log1p(logs, out=logs)
-            yield logs
-
     limbs = [0, 0, 0]
-    scratch = np.empty(min(_CHUNK, ps.size), dtype=np.float64)
-    if all(_add_limbs(limbs, logs, scratch) for logs in log_chunks()):
-        total = _round_limbs(limbs)
-    else:
-        total = math.fsum(v for logs in log_chunks() for v in logs.tolist())
+    chunk = np.empty(min(_CHUNK, ps.size), dtype=np.float64)
+    scratch = np.empty_like(chunk)
+    for lo in range(0, ps.size, _CHUNK):
+        logs = chunk[:min(_CHUNK, ps.size - lo)]
+        # the explicit logs first, then the bulk's, made in place: -r/p^2
+        head = max(0, min(split - lo, logs.size))
+        logs[:head] = explicit_logs[lo:lo + head]
+        bulk = logs[head:]
+        bulk[:] = ps[lo + head:lo + logs.size]
+        np.multiply(bulk, bulk, out=bulk)
+        np.divide(-r, bulk, out=bulk)
+        np.log1p(bulk, out=bulk)
+        _add_limbs(limbs, logs, scratch)
+    total = _round_limbs(limbs)
     slop = FLOAT_SLOP_PER_FACTOR * ps.size
     tail = 2.0 * r / (cutoff - 1.0)
     upper = min(1.0, math.exp(total + slop))
@@ -113,22 +115,22 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
 _CHUNK = 1 << 15
 
 
-def _add_limbs(limbs: list, values: np.ndarray, scratch: np.ndarray) -> bool:
+def _add_limbs(limbs: list, values: np.ndarray, scratch: np.ndarray) -> None:
     """Add the three limb sums of ``values`` (at most _CHUNK of them) to the
     Python ints ``limbs``, overwriting ``values``; ``scratch`` holds at least
-    as many floats.  False, with ``limbs`` incomplete, when a value has
-    bits below 2^-114 or is not below 2^6 in magnitude (NaN included).
+    as many floats.  Raises ContractViolation, with ``limbs`` incomplete,
+    when a value has bits below 2^-114 or is not below 2^6 in magnitude
+    (NaN included): ``density_constant`` proves that none of its logs does.
 
     Each value v is cut on the 2^-114 grid into limbs a, b, c with
-    v = a*2^-34 + b*2^-74 + c*2^-114, every |limb| < 2^40 when |v| < 2^6,
-    as for a log of a local factor 1 - u/p^2 with u < p^2 and
-    p <= PRIME_SIEVE_CAP = 2^27 (|v| <= log(p^2) < 38).  At most
-    _CHUNK = 2^15 such limbs sum below 2^55, so every int64 chunk sum is
-    exact.  When every |v| < 2^-34 the first limb is 0 and is skipped.
+    v = a*2^-34 + b*2^-74 + c*2^-114, every |limb| < 2^40 when |v| < 2^6.
+    At most _CHUNK = 2^15 such limbs sum below 2^55, so every int64 chunk
+    sum is exact.  When every |v| < 2^-34 the first limb is 0 and is
+    skipped.
     """
     top = max(-values.min(), values.max()) if values.size else 0.0
     if not top < 2.0**6:
-        return False
+        raise ContractViolation(f"a value of magnitude {top} is not below 2^6")
     first = 1 if top < 2.0**-34 else 0
     np.multiply(values, 2.0 ** (34 + 40 * first), out=values)
     trunc = scratch[:values.size]
@@ -137,30 +139,13 @@ def _add_limbs(limbs: list, values: np.ndarray, scratch: np.ndarray) -> bool:
         limbs[i] += int(trunc.sum(dtype=np.int64))
         np.subtract(values, trunc, out=values)  # both steps exact in float64
         np.multiply(values, 2.0**40, out=values)
-    return not values.any()
+    if values.any():
+        raise ContractViolation("a value has bits below 2^-114")
 
 
 def _round_limbs(limbs: list) -> float:
     """One rounding of the exact total a*2^-34 + b*2^-74 + c*2^-114."""
     return ((limbs[0] << 80) + (limbs[1] << 40) + limbs[2]) / (1 << 114)
-
-
-def _exact_sum(values: np.ndarray) -> float:
-    """The sum of ``values`` correctly rounded, the same float as
-    ``math.fsum``, for any number of values: the limbs of ``_add_limbs``
-    summed _CHUNK values at a time, then one rounding of the exact rational
-    total.  A value with bits below 2^-114, possible only when
-    |v| < 2^-62, or with |v| >= 2^6 falls back to ``math.fsum``.
-    """
-    limbs = [0, 0, 0]
-    size = min(_CHUNK, values.size)
-    chunk, scratch = np.empty(size), np.empty(size)
-    for lo in range(0, values.size, _CHUNK):
-        part = chunk[:min(_CHUNK, values.size - lo)]
-        part[:] = values[lo:lo + _CHUNK]
-        if not _add_limbs(limbs, part, scratch):
-            return math.fsum(values.tolist())
-    return _round_limbs(limbs)
 
 
 @dataclass(frozen=True)

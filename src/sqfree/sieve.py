@@ -69,8 +69,6 @@ MAX_THREADS = 64
 # They break even near c = 50 from 1e10 on; from c = 100 the sum is at
 # least 1.65 times as fast at every x, a margin over this machine's noise.
 MOBIUS_SUM_RATIO = 100
-# Moduli d per block of the Mobius sum.
-SQUAREFREE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def _squarefree_between(lo: int, hi: int) -> int:
     mu(d) * (hi // d^2 - lo // d^2) over d <= isqrt(hi), in one pass over
     the blocks of ``mobius_blocks`` (``_mobius_block_sum``)."""
     return sum(_mobius_block_sum(mu, start, lo, hi)
-               for start, mu in mobius_blocks(math.isqrt(hi), SQUAREFREE_BLOCK))
+               for start, mu in mobius_blocks(math.isqrt(hi)))
 
 
 def _mobius_block_sum(mu: np.ndarray, start: int, lo: int, hi: int) -> int:
@@ -165,7 +163,7 @@ def count_squarefree(x: int) -> int:
     Inclusion-exclusion over square moduli: the sum of mu(d) * floor(x /
     d^2) over d up to sqrt(x), the window (0, x] of the one Mobius sum that
     ``count_tuples`` also reads, ``_squarefree_between``.  It holds one
-    block of SQUAREFREE_BLOCK moduli at a time, whatever x is: a traced
+    block of arith.MOBIUS_BLOCK moduli at a time, whatever x is: a traced
     peak of 0.61 MiB at 2^44 and at 2^46.
     """
     x = int(x)

@@ -1,5 +1,7 @@
 import bisect
 import math
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -236,6 +238,32 @@ def test_growing_the_table_keeps_one_table(monkeypatch):
     assert held < 1.2 * table.nbytes
     kept = arith._table[1]  # one array, trimmed to its primes in place
     assert kept.base is None and kept.size == table.size
+
+
+def test_the_table_grows_under_a_trace_function():
+    # A trace function's snapshot of a frame's locals adds a reference to the
+    # table being trimmed; the import itself grows the table.
+    code = (
+        "import sys\n"
+        "sys.settrace(lambda *a: None)\n"
+        "from sqfree.arith import primes_up_to\n"
+        "from sqfree.density import density_constant\n"
+        "assert primes_up_to(1 << 20).size == 82_025\n"
+        "est = density_constant([0, 2], 10**6)\n"
+        "assert est.lower < 0.3226341 < est.upper\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_runs_under_cprofile(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"), "-m", "sqfree",
+         "density", "--offsets", "0,2", "--prime-cutoff", "1000"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "profile").stat().st_size > 0
 
 
 def _reset_table(monkeypatch):

@@ -6,20 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqfree import density
-from sqfree.arith import as_offsets, primes_up_to, residue_class_count
+from sqfree.arith import PRIME_SIEVE_CAP, as_offsets, is_prime, primes_up_to, residue_class_count
 from sqfree.density import (
     _CHUNK,
     FLOAT_SLOP_PER_FACTOR,
     EulerEstimate,
     _add_limbs,
-    _exact_sum,
     _round_limbs,
     certify_inverse_bound,
     density_constant,
     inverse_density_cap,
 )
-from sqfree.errors import DegenerateTupleError
+from sqfree.errors import ContractViolation, DegenerateTupleError
 from sqfree.sieve import count_tuples
 
 # Independently derived reference values.  The single-offset density is
@@ -189,13 +187,8 @@ _BENCH_PATTERNS = [
 ]
 
 
-def test_limb_sum_gives_the_fsum_bracket_on_bench_patterns(monkeypatch):
+def test_limb_sum_gives_the_fsum_bracket_on_bench_patterns():
     expected = {p: _fsum_bracket([int(v) for v in p.split(",")], 10**7) for p in _BENCH_PATTERNS}
-
-    def no_fallback(values):
-        raise AssertionError("the limb sum fell back to math.fsum")
-
-    monkeypatch.setattr(density.math, "fsum", no_fallback)
     for pattern, bracket in expected.items():
         est = density_constant([int(v) for v in pattern.split(",")], 10**7)
         assert (est.lower, est.upper, est.tail_log_bound) == bracket, pattern
@@ -216,22 +209,32 @@ def test_degenerate_wide_span_is_detected():
     assert density_constant(offs, 1000).degenerate_zero
 
 
+def _limb_sum(values) -> float:
+    """``values`` cut into limbs by ``_add_limbs``, _CHUNK at a time, and
+    rounded once by ``_round_limbs``."""
+    values = np.array(values, dtype=np.float64)  # a copy, which the limb cut overwrites
+    limbs = [0, 0, 0]
+    for lo in range(0, values.size, _CHUNK):
+        piece = values[lo:lo + _CHUNK]
+        _add_limbs(limbs, piece, np.empty(piece.size))
+    return _round_limbs(limbs)
+
+
 def test_limb_sum_is_exactly_rounded():
     # Sums whose pairwise or sequential float sum is wrong in the last bit.
     for values in ([1.0, 1e-16, -1.0], [0.1] * 10, [1.0, 2.0**-53, 2.0**-53],
                    [37.5, -37.5, 2.0**-60], [-1e-3] * 1000 + [1.0]):
-        assert _exact_sum(np.array(values)) == math.fsum(values)
-    assert _exact_sum(np.empty(0)) == 0.0
+        assert _limb_sum(values) == math.fsum(values)
+    assert _limb_sum([]) == 0.0
 
 
 @given(st.lists(st.one_of(
     st.floats(min_value=2.0**-60, max_value=38.0),
     st.floats(min_value=-38.0, max_value=-2.0**-60),
-    st.floats(min_value=-1e-30, max_value=1e-30),  # bits below the grid: fsum answers
 ), max_size=300))
 @settings(max_examples=300, deadline=None)
 def test_limb_sum_matches_fsum_random(values):
-    assert _exact_sum(np.array(values, dtype=np.float64)) == math.fsum(values)
+    assert _limb_sum(values) == math.fsum(values)
 
 
 # ------------------------------------------------- the chunked pass
@@ -275,15 +278,9 @@ def test_chunk_edge_cases_cover_what_they_name():
 
 
 @pytest.mark.parametrize("offs, cutoff", _chunk_edge_cases())
-def test_chunked_pass_gives_the_fsum_bracket(monkeypatch, offs, cutoff):
-    expected = _fsum_bracket(offs, cutoff)
-
-    def no_fallback(values):
-        raise AssertionError("the limb sum fell back to math.fsum")
-
-    monkeypatch.setattr(density.math, "fsum", no_fallback)
+def test_chunked_pass_gives_the_fsum_bracket(offs, cutoff):
     est = density_constant(offs, cutoff)
-    assert (est.lower, est.upper, est.tail_log_bound) == expected
+    assert (est.lower, est.upper, est.tail_log_bound) == _fsum_bracket(offs, cutoff)
 
 
 @given(st.lists(st.one_of(
@@ -298,24 +295,36 @@ def test_limb_sums_over_any_split_give_the_whole_sum(values, cuts):
     bounds = sorted({0, len(values), *(min(c, len(values)) for c in cuts)})
     for lo, hi in zip(bounds, bounds[1:]):
         piece = whole[lo:hi].copy()
-        assert _add_limbs(limbs, piece, np.empty(piece.size))
-    assert _round_limbs(limbs) == _exact_sum(whole) == math.fsum(values)
+        _add_limbs(limbs, piece, np.empty(piece.size))
+    assert _round_limbs(limbs) == math.fsum(values)
 
 
 def test_limb_sum_spans_chunks():
     # Several chunks of values near the limb bound, summed in both orders
     values = np.full(3 * _CHUNK + 5, 37.99)
     values[::7] = -37.5
-    assert _exact_sum(values) == math.fsum(values.tolist())
-    assert _exact_sum(values[::-1]) == math.fsum(values[::-1].tolist())
+    assert _limb_sum(values) == math.fsum(values.tolist())
+    assert _limb_sum(values[::-1]) == math.fsum(values[::-1].tolist())
 
 
-@pytest.mark.parametrize("values", [[1e20, 1.0], [2.0**30, 2.0**-60], [64.0, -1.5],
-                                    [1.0, math.inf], [-math.inf, 2.0**-70]])
-def test_limb_sum_falls_back_outside_its_domain(values):
-    # |v| >= 2^6 would overflow the first limb's int64 sum
-    assert _exact_sum(np.array(values)) == math.fsum(values)
-    assert not _add_limbs([0, 0, 0], np.array(values), np.empty(len(values)))
+@pytest.mark.parametrize("values", [[64.0], [1e-30], [math.inf], [math.nan],
+                                    [1e20, 1.0], [2.0**30, 2.0**-60], [64.0, -1.5],
+                                    [1.0, math.inf], [-math.inf, 2.0**-70], [1.0, math.nan]])
+def test_limb_sum_refuses_values_outside_its_domain(values):
+    # |v| >= 2^6 would overflow the first limb's int64 sum; bits below
+    # 2^-114 would be lost
+    with pytest.raises(ContractViolation):
+        _add_limbs([0, 0, 0], np.array(values), np.empty(len(values)))
+
+
+def test_limb_sum_takes_the_extreme_logs_of_the_pass():
+    # the smallest log, at the largest prime the table holds, and the
+    # largest the pass makes, at p = 2 with three classes taken
+    p = next(n for n in range(PRIME_SIEVE_CAP, 1, -1) if is_prime(n))
+    assert p == 134_217_689
+    for v in (math.log1p(-1 / (p * p)), math.log1p(-3 / 4)):
+        assert _limb_sum([v]) == v
+        assert _limb_sum([v] * 3) == math.fsum([v] * 3)
 
 
 def test_density_pass_peaks_under_one_mebibyte():

@@ -61,7 +61,7 @@ def test_count_squarefree_matches_trial_division():
 def test_count_squarefree_is_the_same_in_any_block(monkeypatch, block):
     # blocks of 1 and 7 moduli end at every d of the small sums; blocks of
     # 1000 split the million moduli of Q(10^12)
-    monkeypatch.setattr(sieve, "SQUAREFREE_BLOCK", block)
+    monkeypatch.setattr(sieve, "mobius_blocks", lambda stop: arith.mobius_blocks(stop, block))
     for x in (1, 3, 4, 48, 49, 50, 4321):
         assert count_squarefree(x) == sum(1 for n in range(1, x + 1) if naive_is_squarefree(n))
     if block == 1000:
@@ -69,7 +69,7 @@ def test_count_squarefree_is_the_same_in_any_block(monkeypatch, block):
 
 
 def test_count_squarefree_holds_a_few_bytes_per_modulus():
-    # the sum goes SQUAREFREE_BLOCK moduli at a time beside the int8 Mobius
+    # the sum goes MOBIUS_BLOCK moduli at a time beside the int8 Mobius
     # table; int64 arrays over every d up to sqrt(x) held 32 bytes per d,
     # 128 MiB here
     x = 1 << 44
@@ -138,7 +138,7 @@ def _squarefree_prefix(n):
 def test_mobius_sum_matches_a_square_sieve_in_any_block(monkeypatch, block):
     # Small blocks put most d of the short windows in blocks gathered per
     # k, and the first blocks and the long windows' in blocks of divisions.
-    monkeypatch.setattr(sieve, "SQUAREFREE_BLOCK", block)
+    monkeypatch.setattr(sieve, "mobius_blocks", lambda stop: arith.mobius_blocks(stop, block))
     prefix = _squarefree_prefix(300_000)
     rng = random.Random(block)
     windows = [(0, 300_000), (0, 1), (299_999, 1), (1, 299_999)]
