@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -31,9 +32,6 @@ _BLOCK_INDEX.flags.writeable = False
 # wide_window benchmark run took about 450k minor faults, against 230k with
 # the buffers kept.
 _spare_buffers = threading.local()
-
-# Most int64 residues residue_class_counts holds at once.
-_RESIDUE_BLOCK = 1 << 20
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -303,16 +301,15 @@ def residue_class_count(p: int, offsets) -> int:
 
 
 def residue_class_counts(primes: np.ndarray, offsets) -> list[int]:
-    """residue_class_count for each entry of an int64 array of primes (not
-    tested for primality), counted as the distinct sorted residues per row."""
+    """residue_class_count at each entry of an ascending array of primes: r
+    but at the primes whose square divides an offset difference."""
     l = as_offsets(offsets)
-    offs = np.array(l.offsets, dtype=np.int64)
-    step = max(1, _RESIDUE_BLOCK // l.r)
-    counts = []
-    for i in range(0, len(primes), step):
-        p = primes[i:i + step, None]
-        residues = np.sort(offs % (p * p), axis=1)
-        counts += (1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)).tolist()
+    counts = [l.r] * len(primes)
+    for p in {p for a, b in combinations(l.offsets, 2)
+              for p in squarefree_prime_factors(squarefull_radical(b - a))}:
+        i = int(np.searchsorted(primes, p))
+        if i < len(primes) and primes[i] == p:
+            counts[i] = len(_congruence_classes(l, p)[1])
     return counts
 
 

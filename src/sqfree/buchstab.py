@@ -79,6 +79,8 @@ def count_square_hits(window, offsets, coord: int, q_lo: float, q_hi: float) -> 
     w, l = _window_args(window, offsets)
     if not 1 <= coord <= l.r:
         raise ValueError("coordinate index out of range")
+    if math.isnan(q_lo) or math.isnan(q_hi):  # an infinite bound is no bound
+        raise ValueError(f"{'q_lo' if math.isnan(q_lo) else 'q_hi'} must not be nan")
     off = l.offsets[coord - 1]
     ps = primes_up_to(math.isqrt(w.end + off))
     qs = ps[(ps >= q_lo) & (ps < q_hi)]
@@ -257,7 +259,9 @@ def count_square_multiples(query: SquareMultipleQuery) -> int:
 def _parse_growth(choice):
     text = str(choice)
     if text.startswith("const:"):
-        return "const", float(text.split(":", 1)[1])
+        if math.isfinite(c := float(text.split(":", 1)[1])):
+            return "const", c
+        raise ValueError(f"growth constant must be finite, not {c}")
     if text in ("loglog", "pow23"):
         return text, None
     raise ValueError(f"unknown growth kind {text!r}; use loglog, pow23 or const:C")
@@ -281,8 +285,9 @@ class AsymptoticParameters:
 def asymptotic_parameters(x: float, r: int, growth="loglog") -> AsymptoticParameters:
     """Evaluate the asymptotic-regime parameters and report whether its
     hypotheses hold at this x (they fail for every desk-scale x)."""
-    if x < math.e ** math.e:
-        raise ValueError("x must be at least e^e")
+    if not math.e ** math.e <= x < math.inf:  # NaN fails too
+        raise ValueError("x must be at least e^e" if x < math.e ** math.e
+                         else f"x must be finite, not {x}")
     if r < 1:
         raise ValueError("tuple size must be at least 1")
     kind, c = _parse_growth(growth)

@@ -113,6 +113,8 @@ def normalizing_sum(y: float, coprime_to: int, offsets) -> Fraction:
     l = as_offsets(offsets)
     if not 1 <= y < math.inf:  # NaN fails too
         raise ValueError("y must be at least 1" if y < 1 else f"y must be finite, not {y}")
+    if y > LEVEL_CAP:  # the tables grow linearly in the level
+        raise ValueError(f"sieve level above the weight-table cap {LEVEL_CAP:g}")
     yi = math.floor(y)
     data = _LocalData(l, yi, exact=True)
     return data.normalizing_sum(yi, int(coprime_to))
@@ -339,6 +341,8 @@ def squarefree_moment(r: int, level: float) -> int:
     if not 1 <= level < math.inf:  # NaN fails too
         raise ValueError("level must be at least 1" if level < 1
                          else f"level must be finite, not {level}")
+    if level > LEVEL_CAP:  # the table grows linearly in the level
+        raise ValueError(f"sieve level above the weight-table cap {LEVEL_CAP:g}")
     zi = math.floor(level)
     vals = [0] * (zi + 1)
     vals[1] = 1

@@ -192,13 +192,40 @@ def test_residue_count_bounds(p, offs):
     [0, 1, 2, 3],                     # degenerate: u(2) = 4 = 2^2
     [0, 2, 6, 8, 12, 18, 20, 26],
     [0, 4 * 9 * 25 * 49 * 121],
+    [5],                              # r = 1: no difference
+    [0, 19997**2],                    # a square prime past the cube root
+    [0, 3 * 19997**2],                # the same, beside a prime found by division
+    [0, 2**62 - 1],                   # the widest span (2^62 - 1 is cube-free)
+    list(range(0, 157, 4)),           # 40 offsets, 780 differences
 ])
-@pytest.mark.parametrize("block", [1, 7, 1 << 20])
-def test_residue_class_counts_match_the_per_prime_count(monkeypatch, offs, block):
-    monkeypatch.setattr(arith, "_RESIDUE_BLOCK", block)
-    ps = primes_up_to(3000 if block < 100 else 20_000)
+def test_residue_class_counts_match_the_per_prime_count(offs):
+    ps = primes_up_to(20_000)
     assert residue_class_counts(ps, offs) == [residue_class_count(p, offs) for p in ps.tolist()]
+    # every other prime: a prime whose square divides a difference may be missing
+    gaps = ps[1::2]
+    assert residue_class_counts(gaps, offs) == [residue_class_count(p, offs) for p in gaps.tolist()]
     assert residue_class_counts(ps[:0], offs) == []
+
+
+@st.composite
+def _square_collisions(draw):
+    """Up to 6 offsets, each base + k*p^2 for p from a few primes <= 2e4,
+    so offsets drawn with one p share its classes modulo p^2."""
+    ps = draw(st.lists(st.sampled_from(primes_up_to(20_000).tolist()), min_size=1, max_size=3))
+    top = arith.MAX_SUPPORTED
+    base = draw(st.integers(0, top // 2))
+    offs = set()
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.sampled_from(ps))
+        offs.add(base + p * p * draw(st.integers(0, (top - base) // (p * p))))
+    return sorted(offs)
+
+
+@given(_square_collisions())
+@settings(max_examples=40, deadline=None)
+def test_residue_class_counts_match_at_square_collisions(offs):
+    ps = primes_up_to(20_000)
+    assert residue_class_counts(ps, offs) == [residue_class_count(p, offs) for p in ps.tolist()]
 
 
 # --------------------------------------------------------------- primes

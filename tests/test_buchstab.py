@@ -459,6 +459,33 @@ def test_asymptotic_parameters_domain():
     assert asymptotic_parameters(16, 1).cutoff > 0
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_asymptotic_parameters_refuse_a_non_finite_x(x):
+    with pytest.raises(ValueError, match=f"^x must be finite, not {x}$"):
+        asymptotic_parameters(x, 1)
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_asymptotic_parameters_refuse_a_non_finite_growth_constant(c):
+    with pytest.raises(ValueError, match=f"^growth constant must be finite, not {c}$"):
+        asymptotic_parameters(10**12, 1, f"const:{c}")
+
+
+@pytest.mark.parametrize("q_lo, q_hi, name", [(math.nan, 100, "q_lo"), (2, math.nan, "q_hi")])
+def test_square_hits_refuse_a_nan_bound(q_lo, q_hi, name):
+    with pytest.raises(ValueError, match=f"^{name} must not be nan$"):
+        count_square_hits((1000, 100), [0], 1, q_lo, q_hi)
+
+
+def test_square_hits_take_an_infinite_bound_as_none():
+    w = (1000, 100)
+    every = count_square_hits(w, [0], 1, 2, 2 * math.sqrt(1100))
+    assert every > 0
+    assert count_square_hits(w, [0], 1, -math.inf, math.inf) == every
+    assert count_square_hits(w, [0], 1, 2, math.inf) == every
+    assert count_square_hits(w, [0], 1, math.inf, math.inf) == 0
+
+
 def test_asymptotic_parameters_always_reports():
     params = asymptotic_parameters(10**300, 1, "const:2")
     # even at astronomical x the flags are returned rather than raised

@@ -2,6 +2,7 @@ import collections
 import math
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from sqfree import selberg, sieve
 from sqfree.arith import as_offsets, primes_up_to, residue_class_count_squarefree
 from sqfree.errors import DegenerateTupleError
 from sqfree.selberg import (
+    LEVEL_CAP,
     SelbergSystem,
     UpperBoundCertificate,
     excess_exponent,
@@ -543,6 +545,22 @@ def test_lower_bounds_name_non_finite_values(call, message):
                         (math.nan, "finite, not nan"), (math.inf, "finite, not inf")]:
         with pytest.raises(ValueError, match=f"^{message} {tail}$"):
             call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: normalizing_sum(v, 1, [0]),
+    lambda v: squarefree_moment(2, v),
+    lambda v: optimal_weights(v, [0]),
+])
+def test_weight_tables_stop_at_the_level_cap(call):
+    # the tables grow linearly in the level (about 48 bytes a level for the
+    # moment), so the refusal comes before any table is built
+    call(LEVEL_CAP)
+    for level in [math.nextafter(LEVEL_CAP, math.inf), 1e12]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^sieve level above the weight-table cap 10000$"):
+            call(level)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_squarefree_moment_needs_r_of_at_least_1():
