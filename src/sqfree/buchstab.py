@@ -19,6 +19,7 @@ many moduli obstruct a short window.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -288,6 +289,8 @@ def asymptotic_parameters(x: float, r: int, growth="loglog") -> AsymptoticParame
     if not math.e ** math.e <= x < math.inf:  # NaN fails too
         raise ValueError("x must be at least e^e" if x < math.e ** math.e
                          else f"x must be finite, not {x}")
+    if not isinstance(r, numbers.Integral):  # 2.5 and NaN too
+        raise ValueError(f"r must be an integer at least 1, not {r!r}")
     if r < 1:
         raise ValueError("tuple size must be at least 1")
     kind, c = _parse_growth(growth)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import as_offsets, primes_up_to, residue_class_counts, squarefree_prime_factors
+from .arith import (as_offsets, mobius_up_to, primes_up_to, residue_class_counts,
+                    squarefree_prime_factors)
 from .density import DEFAULT_PRIME_CUTOFF, EulerEstimate, density_constant
 from .errors import DegenerateTupleError
 from .sieve import Window, _window_args, count_congruent, count_tuples, window_products
@@ -34,69 +35,40 @@ EXACT_LEVEL_CAP = 100.0
 EXCESS_MIN_LENGTH = 16
 
 
-def _squarefree_splits(n: int):
-    """Yield (k, q, k // q) for every squarefree k in [2, n] in increasing
-    order, q the smallest prime factor of k, so that a multiplicative table
-    over squarefree k fills as table[k] = table[k // q] * local(q)."""
-    spf = list(range(n + 1))
-    p = 2
-    while p * p <= n:
-        if spf[p] == p:
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-        p += 1
-    squarefree = [True] * (n + 1)
-    for k in range(2, n + 1):
-        q = spf[k]
-        m = k // q
-        if m % q == 0 or not squarefree[m]:
-            squarefree[k] = False
-        else:
-            yield k, q, m
-
-
 class _LocalData:
-    """Per-(offsets, level) tables for a level zi >= 1: residue counts and
-    the multiplicative local factors u(p) / (p^2 - u(p))."""
+    """Per-(offsets, level) tables for a level zi >= 1 over the squarefree
+    k <= zi (None elsewhere): the products g and inv_prod of the local
+    factors u(p) / (p^2 - u(p)) and p^2 / (p^2 - u(p)), u(k), and mu(k).
+    Each prime multiplies its factors into its squarefree multiples, largest
+    prime first, so a float entry is its primes' factors multiplied from the
+    largest prime down: the emitted float weights rest on that order."""
 
     def __init__(self, offsets, zi: int, exact: bool):
         self.offsets = as_offsets(offsets)
         self.zi = zi
         self.exact = exact
         self.one = one = Fraction(1) if exact else 1.0
-        self.u_prime: dict[int, int] = {}
-        local = [None] * (zi + 1)
-        inv_local = [None] * (zi + 1)
-        primes = primes_up_to(zi)
-        for q, u in zip(primes.tolist(), residue_class_counts(primes, self.offsets)):
+        table = primes_up_to(zi)
+        primes, counts = table.tolist(), residue_class_counts(table, self.offsets)
+        for q, u in zip(primes, counts):  # ascending: the least covered prime is named
             if u == q * q:
                 raise DegenerateTupleError(
                     f"offsets cover all residues modulo {q}^2; system not constructible"
                 )
-            self.u_prime[q] = u
+        self.mobius = mobius = mobius_up_to(zi).tolist()
+        self.g = g = [one if mu else None for mu in mobius]
+        self.inv_prod = inv_prod = g[:]
+        self.u_val = u_val = [1 if mu else None for mu in mobius]
+        for q, u in zip(reversed(primes), reversed(counts)):
             # one * u and one * q * q are exact floats (q^2 < 2^53): each float
             # quotient is correctly rounded, as int / int is
-            local[q] = one * u / (q * q - u)
-            inv_local[q] = one * q * q / (q * q - u)
-        # multiplicative tables over squarefree k <= zi (None = not squarefree)
-        g = [None] * (zi + 1)
-        inv_prod = [None] * (zi + 1)
-        u_val = [None] * (zi + 1)
-        mob = [0] * (zi + 1)
-        g[1] = one
-        inv_prod[1] = one
-        u_val[1] = 1
-        mob[1] = 1
-        for k, q, m in _squarefree_splits(zi):
-            g[k] = g[m] * local[q]
-            inv_prod[k] = inv_prod[m] * inv_local[q]
-            u_val[k] = u_val[m] * self.u_prime[q]
-            mob[k] = -mob[m]
-        self.g = g
-        self.inv_prod = inv_prod
-        self.u_val = u_val
-        self.mobius = mob
+            local = one * u / (q * q - u)
+            inv_local = one * q * q / (q * q - u)
+            for k in range(q, zi + 1, q):
+                if mobius[k]:
+                    g[k] *= local
+                    inv_prod[k] *= inv_local
+                    u_val[k] *= u
 
     def squarefree_values(self) -> list[int]:
         return [k for k in range(1, self.zi + 1) if self.g[k] is not None]
@@ -336,6 +308,8 @@ def quadratic_form_bound(window, offsets, system: SelbergSystem, *,
 
 def squarefree_moment(r: int, level: float) -> int:
     """Exact sum of r^(number of prime factors) over squarefree d <= level."""
+    if not isinstance(r, numbers.Integral):  # 2.5 and NaN too
+        raise ValueError(f"r must be an integer at least 1, not {r!r}")
     if r < 1:
         raise ValueError("r must be at least 1")
     if not 1 <= level < math.inf:  # NaN fails too
@@ -344,10 +318,9 @@ def squarefree_moment(r: int, level: float) -> int:
     if level > LEVEL_CAP:  # the table grows linearly in the level
         raise ValueError(f"sieve level above the weight-table cap {LEVEL_CAP:g}")
     zi = math.floor(level)
-    vals = [0] * (zi + 1)
-    vals[1] = 1
-    for k, _, m in _squarefree_splits(zi):
-        vals[k] = vals[m] * r
+    vals = [abs(mu) for mu in mobius_up_to(zi).tolist()]
+    for q in primes_up_to(zi).tolist():
+        vals[q::q] = [v * r for v in vals[q::q]]
     return sum(vals)
 
 

@@ -459,6 +459,12 @@ def test_asymptotic_parameters_domain():
     assert asymptotic_parameters(16, 1).cutoff > 0
 
 
+def test_asymptotic_parameters_refuse_a_non_integer_r():
+    # r = 2.5 gave a report
+    with pytest.raises(ValueError, match="^r must be an integer at least 1, not 2.5$"):
+        asymptotic_parameters(1e12, 2.5)
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf])
 def test_asymptotic_parameters_refuse_a_non_finite_x(x):
     with pytest.raises(ValueError, match=f"^x must be finite, not {x}$"):

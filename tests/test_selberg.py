@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqfree import selberg, sieve
-from sqfree.arith import as_offsets, primes_up_to, residue_class_count_squarefree
+from sqfree.arith import (as_offsets, primes_up_to, residue_class_count,
+                          residue_class_count_squarefree)
 from sqfree.errors import DegenerateTupleError
 from sqfree.selberg import (
     LEVEL_CAP,
@@ -48,9 +49,79 @@ def test_normalizing_sum_excludes_shared_factors():
     assert coprime == 1 + Fraction(1, 24)  # only k = 1 and k = 5
 
 
-def test_normalizing_sum_rejects_degenerate():
-    with pytest.raises(DegenerateTupleError):
-        normalizing_sum(5, 1, [0, 1, 2, 3])  # all residues mod 4 covered
+@pytest.mark.parametrize("y, offs, prime", [
+    (5, [0, 1, 2, 3], 2),
+    # every class modulo 4 and 9: the error names the least prime
+    (50, list(range(9)), 2),
+    # every class modulo 9, one modulo 4
+    (50, list(range(0, 33, 4)), 3),
+])
+def test_normalizing_sum_rejects_degenerate(y, offs, prime):
+    message = f"offsets cover all residues modulo {prime}^2; system not constructible"
+    with pytest.raises(DegenerateTupleError, match=f"^{re.escape(message)}$"):
+        normalizing_sum(y, 1, offs)
+
+
+# ------------------------------------------------------- weight tables
+
+def _trial_factor(k):
+    """The prime factors of k in increasing order, and whether k is squarefree."""
+    primes, m, p = [], k, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            m //= p
+            if m % p == 0:
+                return primes, False
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes, True
+
+
+@pytest.mark.parametrize("offs", [[0], [0, 2], [0, 6, 12], [0, 2, 6, 8], [0, 49 * 121 * 10**9]])
+@pytest.mark.parametrize("level", [1, 2, 60, 100, 300, 1000, int(LEVEL_CAP)])
+def test_weight_tables_match_a_trial_division_product(offs, level):
+    l = as_offsets(offs)
+    for exact in [True, False] if level <= 100 else [False]:
+        data = selberg._LocalData(l, level, exact)
+        one = Fraction(1) if exact else 1.0
+        for k in range(level + 1):
+            primes, squarefree = _trial_factor(k) if k else ([], False)
+            if not squarefree:
+                assert data.g[k] is data.inv_prod[k] is data.u_val[k] is None, k
+                assert data.mobius[k] == 0, k
+                continue
+            us = {p: residue_class_count(p, l) for p in primes}
+            # the local factors multiplied from the largest prime down
+            g, inv = one, one
+            for p in reversed(primes):
+                g = g * (one * us[p] / (p * p - us[p]))
+                inv = inv * (one * p * p / (p * p - us[p]))
+            if exact:
+                assert (data.g[k], data.inv_prod[k]) == (g, inv), k
+            else:
+                assert (data.g[k].hex(), data.inv_prod[k].hex()) == (g.hex(), inv.hex()), k
+            assert data.u_val[k] == math.prod(us.values()), k
+            assert data.mobius[k] == (-1) ** len(primes), k
+
+
+def test_weight_tables_read_the_shared_prime_and_mobius_tables(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(n):
+            calls.append((name, n))
+            return fn(n)
+        monkeypatch.setattr(selberg, name, wrapped)
+
+    spy("primes_up_to", selberg.primes_up_to)
+    spy("mobius_up_to", selberg.mobius_up_to)
+    normalizing_sum(50, 1, [0, 2])
+    assert calls == [("primes_up_to", 50), ("mobius_up_to", 50)]
+    calls.clear()
+    squarefree_moment(3, 40.5)
+    assert sorted(calls) == [("mobius_up_to", 40), ("primes_up_to", 40)]
 
 
 # ------------------------------------------------------- weight systems
@@ -568,25 +639,23 @@ def test_squarefree_moment_needs_r_of_at_least_1():
         squarefree_moment(0, 10)
 
 
+@pytest.mark.parametrize("r", [2.5, math.nan])
+def test_squarefree_moment_needs_an_integer_r(r):
+    # 2.5 gave 329.125 at level 100, and NaN gave NaN
+    with pytest.raises(ValueError, match=f"^r must be an integer at least 1, not {r!r}$"):
+        squarefree_moment(r, 100)
+
+
 def test_squarefree_moment_values():
     assert squarefree_moment(1, 2.5) == 2
     assert squarefree_moment(1, 1.5) == 1
     # squarefree d <= 10: 1,2,3,5,6,7,10 with 0,1,1,1,2,1,2 prime factors
     assert squarefree_moment(2, 10) == 1 + 2 + 2 + 2 + 4 + 2 + 4
-    # every level up to 300 against trial division: sum of r^omega(d) over
+    # levels up to 2000 against trial division: sum of r^omega(d) over
     # squarefree d <= level
-    omega = {}
-    for d in range(1, 301):
-        m, count, squarefree = d, 0, True
-        for p in range(2, d + 1):
-            if m % p == 0:
-                count += 1
-                m //= p
-                squarefree = squarefree and m % p != 0
-        if squarefree:
-            omega[d] = count
-    for r in range(1, 5):
-        for level in range(1, 301):
+    omega = {d: len(f[0]) for d in range(1, 2001) if (f := _trial_factor(d))[1]}
+    for r in range(1, 6):
+        for level in [*range(1, 301), *range(301, 2000, 37), 1999.5, 2000]:
             expected = sum(r ** w for d, w in omega.items() if d <= level)
             assert squarefree_moment(r, level) == expected, (r, level)
 
