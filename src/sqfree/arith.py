@@ -300,17 +300,14 @@ def residue_class_count(p: int, offsets) -> int:
     return len(_congruence_classes(l, p)[1])
 
 
-def residue_class_counts(primes: np.ndarray, offsets) -> list[int]:
-    """residue_class_count at each entry of an ascending array of primes: r
-    but at the primes whose square divides an offset difference."""
+def residue_class_counts(offsets) -> dict[int, int]:
+    """residue_class_count's exceptions: {p: u(p)}, ascending in p, at the
+    primes whose square divides an offset difference, exactly the primes
+    with u(p) < r.  At every other prime u(p) = r."""
     l = as_offsets(offsets)
-    counts = [l.r] * len(primes)
-    for p in {p for a, b in combinations(l.offsets, 2)
-              for p in squarefree_prime_factors(squarefull_radical(b - a))}:
-        i = int(np.searchsorted(primes, p))
-        if i < len(primes) and primes[i] == p:
-            counts[i] = len(_congruence_classes(l, p)[1])
-    return counts
+    return {p: len(_congruence_classes(l, p)[1])
+            for p in sorted({p for a, b in combinations(l.offsets, 2)
+                             for p in squarefree_prime_factors(squarefull_radical(b - a))})}
 
 
 def squarefree_prime_factors(d: int) -> list[int]:
@@ -332,10 +329,10 @@ def residue_class_count_squarefree(d: int, offsets) -> int:
     return math.prod(len(_congruence_classes(l, p)[1]) for p in squarefree_prime_factors(d))
 
 
-def mobius_blocks(stop: int, block: int = MOBIUS_BLOCK):
+def mobius_blocks(stop: int):
     """The Mobius function on [1, stop], stop <= 2^31, as (lo, mu) pairs in
     ascending order: mu[i] = mu(lo + i), an int8 view of a reused buffer of
-    at most ``block`` entries, valid until the next pair is drawn or the
+    at most MOBIUS_BLOCK entries, valid until the next pair is drawn or the
     generator ends.
 
     The one Mobius builder.  Per block [lo, hi), each prime p up to
@@ -347,14 +344,13 @@ def mobius_blocks(stop: int, block: int = MOBIUS_BLOCK):
     is below 2^31, so it fits int32.  The buffers are those the last
     finished call in this thread left, or new ones, and are left for the
     next call."""
-    stop, block = int(stop), int(block)
+    stop, block = int(stop), MOBIUS_BLOCK
     if not 1 <= stop <= 1 << 31:
         raise ValueError("stop must lie in [1, 2^31]")
     primes = primes_up_to(max(1, math.isqrt(stop)))
     squares = primes * primes
     plist = primes.tolist()
     size = min(block, stop)
-    index = _BLOCK_INDEX if size <= _BLOCK_INDEX.size else np.arange(size, dtype=np.uint32)
     buffers, _spare_buffers.buffers = getattr(_spare_buffers, "buffers", None), None
     if buffers is None or buffers[0].size < size:
         buffers = (np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int8),
@@ -381,7 +377,7 @@ def mobius_blocks(stop: int, block: int = MOBIUS_BLOCK):
             # |product| == lo + i, as |product| - i == lo: a product below i
             # wraps past 2^31 >= lo
             u = a.view(np.uint32)
-            u -= index[:n]
+            u -= _BLOCK_INDEX[:n]
             np.equal(u, lo, out=f)
             # mu = sign * (2*same - 1): a masked negate takes ten times as long
             f = f.view(np.int8)

@@ -58,12 +58,15 @@ def base_main_term(offsets, cutoff: float) -> MainTermEstimate:
                          else f"cutoff must be finite, not {cutoff}")
     bound = math.ceil(cutoff) - 1  # primes strictly below the cutoff
     ps = primes_up_to(bound)
-    us = residue_class_counts(ps, l)
-    product = 1.0
-    for p, u in zip(ps.tolist(), us):
-        product *= 1.0 - u / (p * p)  # a degenerate factor reports as 0
-    # u(p) = r for every p^2 > span: those factors are one power.
-    cap = math.prod(1 + u for u in us if u != l.r) * (1 + l.r) ** us.count(l.r)
+    special = {p: u for p, u in residue_class_counts(l).items() if p <= bound}
+    # 1 - u(p)/p^2 in place, u(p) = r but at the special primes (a degenerate
+    # factor reports as 0), multiplied ascending: accumulate is sequential
+    factors = np.square(ps, dtype=np.float64)
+    np.divide(l.r, factors, out=factors)
+    factors[np.searchsorted(ps, list(special))] = [u / (p * p) for p, u in special.items()]
+    np.subtract(1.0, factors, out=factors)
+    product = float(np.multiply.accumulate(factors, out=factors)[-1]) if ps.size else 1.0
+    cap = math.prod(1 + u for u in special.values()) * (1 + l.r) ** (ps.size - len(special))
     try:
         crude = math.exp(cutoff * math.log1p(l.r))
     except OverflowError:

@@ -56,7 +56,8 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
 
     Factors are accumulated in log space with exactly rounded summation, in
     one pass over the prime table, _CHUNK primes at a time: each chunk's
-    logs are made and cut into exact limbs in two reused buffers (see
+    logs are made by np.log1p, the few primes with u(p) < r written in
+    first, and cut into exact limbs in two reused buffers (see
     ``_add_limbs``; per-chunk int64 sums put no bound on the table size).
     Every log v lies in the limbs' domain.  It is log1p(-u/p^2) with
     1 <= u <= r <= cutoff/2 <= 2^26, u < p^2 and p < PRIME_SIEVE_CAP = 2^27,
@@ -75,30 +76,27 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
     if cutoff < 2 * r:
         raise ValueError("prime_cutoff must be at least twice the tuple size")
     ps = primes_up_to(cutoff)
-    # u(p) can fall short of r (offset collisions) only when p^2 <= span, and
-    # can reach the degenerate value p^2 only when p^2 <= r.
-    explicit_bound = math.isqrt(max(l.span, r))
-    split = int(np.searchsorted(ps, explicit_bound, side="right"))
-    explicit = ps[:split]
-    explicit_logs = []
-    for p, u in zip(explicit.tolist(), residue_class_counts(explicit, l)):
-        if u == p * p:
-            return EulerEstimate(0.0, 0.0, cutoff, 0.0, True)
-        explicit_logs.append(math.log1p(-u / (p * p)))
+    # u(p) = r but at these primes.  The degenerate u(p) = p^2 needs
+    # p^2 <= r, and the first isqrt(r) primes hold every such p.
+    special = residue_class_counts(l)
+    if any(special.get(p, r) == p * p for p in ps[:math.isqrt(r)].tolist()):
+        return EulerEstimate(0.0, 0.0, cutoff, 0.0, True)
+    listed = [p for p in special if p <= cutoff]
+    slots = np.searchsorted(ps, listed)
+    args = [-special[p] / (p * p) for p in listed]
 
     limbs = [0, 0, 0]
     chunk = np.empty(min(_CHUNK, ps.size), dtype=np.float64)
     scratch = np.empty_like(chunk)
     for lo in range(0, ps.size, _CHUNK):
         logs = chunk[:min(_CHUNK, ps.size - lo)]
-        # the explicit logs first, then the bulk's, made in place: -r/p^2
-        head = max(0, min(split - lo, logs.size))
-        logs[:head] = explicit_logs[lo:lo + head]
-        bulk = logs[head:]
-        bulk[:] = ps[lo + head:lo + logs.size]
-        np.multiply(bulk, bulk, out=bulk)
-        np.divide(-r, bulk, out=bulk)
-        np.log1p(bulk, out=bulk)
+        # -r/p^2 made in place, the special primes' -u(p)/p^2 written over
+        # theirs before any log: a p^2 <= r would give log1p(-1) or a NaN
+        np.square(ps[lo:lo + logs.size], out=logs, dtype=np.float64)
+        np.divide(-r, logs, out=logs)
+        a, b = np.searchsorted(slots, (lo, lo + logs.size))
+        logs[slots[a:b] - lo] = args[a:b]
+        np.log1p(logs, out=logs)
         _add_limbs(limbs, logs, scratch)
     total = _round_limbs(limbs)
     slop = FLOAT_SLOP_PER_FACTOR * ps.size

@@ -48,10 +48,10 @@ class _LocalData:
         self.zi = zi
         self.exact = exact
         self.one = one = Fraction(1) if exact else 1.0
-        table = primes_up_to(zi)
-        primes, counts = table.tolist(), residue_class_counts(table, self.offsets)
-        for q, u in zip(primes, counts):  # ascending: the least covered prime is named
-            if u == q * q:
+        primes, r = primes_up_to(zi).tolist(), self.offsets.r
+        counts = residue_class_counts(self.offsets)
+        for q in primes:  # ascending: the least covered prime is named
+            if counts.get(q, r) == q * q:
                 raise DegenerateTupleError(
                     f"offsets cover all residues modulo {q}^2; system not constructible"
                 )
@@ -59,7 +59,8 @@ class _LocalData:
         self.g = g = [one if mu else None for mu in mobius]
         self.inv_prod = inv_prod = g[:]
         self.u_val = u_val = [1 if mu else None for mu in mobius]
-        for q, u in zip(reversed(primes), reversed(counts)):
+        for q in reversed(primes):
+            u = counts.get(q, r)
             # one * u and one * q * q are exact floats (q^2 < 2^53): each float
             # quotient is correctly rounded, as int / int is
             local = one * u / (q * q - u)
@@ -306,8 +307,7 @@ def quadratic_form_bound(window, offsets, system: SelbergSystem, *,
                                  exact_form, exact, rhs)
 
 
-def squarefree_moment(r: int, level: float) -> int:
-    """Exact sum of r^(number of prime factors) over squarefree d <= level."""
+def _check_moment_args(r: int, level: float) -> None:
     if not isinstance(r, numbers.Integral):  # 2.5 and NaN too
         raise ValueError(f"r must be an integer at least 1, not {r!r}")
     if r < 1:
@@ -315,6 +315,11 @@ def squarefree_moment(r: int, level: float) -> int:
     if not 1 <= level < math.inf:  # NaN fails too
         raise ValueError("level must be at least 1" if level < 1
                          else f"level must be finite, not {level}")
+
+
+def squarefree_moment(r: int, level: float) -> int:
+    """Exact sum of r^(number of prime factors) over squarefree d <= level."""
+    _check_moment_args(r, level)
     if level > LEVEL_CAP:  # the table grows linearly in the level
         raise ValueError(f"sieve level above the weight-table cap {LEVEL_CAP:g}")
     zi = math.floor(level)
@@ -325,7 +330,9 @@ def squarefree_moment(r: int, level: float) -> int:
 
 
 def moment_cap(r: int, level: float) -> float:
-    """The closed-form cap level * (2 e log(level) / r)^r on the moment sum."""
+    """The closed-form cap level * (2 e log(level) / r)^r on the moment sum;
+    a closed form, so no weight-table cap applies."""
+    _check_moment_args(r, level)
     return level * (2.0 * math.e * math.log(level) / r) ** r
 
 

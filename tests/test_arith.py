@@ -199,12 +199,18 @@ def test_residue_count_bounds(p, offs):
     list(range(0, 157, 4)),           # 40 offsets, 780 differences
 ])
 def test_residue_class_counts_match_the_per_prime_count(offs):
-    ps = primes_up_to(20_000)
-    assert residue_class_counts(ps, offs) == [residue_class_count(p, offs) for p in ps.tolist()]
-    # every other prime: a prime whose square divides a difference may be missing
-    gaps = ps[1::2]
-    assert residue_class_counts(gaps, offs) == [residue_class_count(p, offs) for p in gaps.tolist()]
-    assert residue_class_counts(ps[:0], offs) == []
+    _assert_exceptions_match(offs)
+
+
+def _assert_exceptions_match(offs):
+    """The dict names u(p) at every prime to 2e4 that falls short of r, and
+    only such primes, in ascending order."""
+    r = len(offs)
+    counts = residue_class_counts(offs)
+    for p in primes_up_to(20_000).tolist():
+        assert counts.get(p, r) == residue_class_count(p, offs), p
+    assert all(u < r for u in counts.values())
+    assert list(counts) == sorted(counts)
 
 
 @st.composite
@@ -224,8 +230,7 @@ def _square_collisions(draw):
 @given(_square_collisions())
 @settings(max_examples=40, deadline=None)
 def test_residue_class_counts_match_at_square_collisions(offs):
-    ps = primes_up_to(20_000)
-    assert residue_class_counts(ps, offs) == [residue_class_count(p, offs) for p in ps.tolist()]
+    _assert_exceptions_match(offs)
 
 
 # --------------------------------------------------------------- primes
@@ -573,13 +578,14 @@ def test_mobius_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64, 1000, 1 << 16])
-def test_mobius_blocks_cover_the_range_in_any_block(block):
+def test_mobius_blocks_cover_the_range_in_any_block(monkeypatch, block):
     # every block edge of the small blocks, and the per-block prime bound
     # and placed squares of the larger ones
     mu = mobius_up_to(5000).tolist()
+    monkeypatch.setattr(arith, "MOBIUS_BLOCK", block)
     for stop in (1, 2, 3, 4, 5, 48, 49, 50, 4999, 5000):
         seen = [0]
-        for lo, values in arith.mobius_blocks(stop, block):
+        for lo, values in arith.mobius_blocks(stop):
             assert lo == len(seen) and 1 <= values.size <= block
             seen += values.tolist()
         assert seen == mu[:stop + 1]
@@ -602,19 +608,20 @@ def test_mobius_up_to_holds_the_table_and_one_block():
     assert peak < n + 16 * arith.MOBIUS_BLOCK
 
 
-def test_mobius_blocks_reuse_buffers_but_never_share_them():
+def test_mobius_blocks_reuse_buffers_but_never_share_them(monkeypatch):
     # a generator drawn inside another takes buffers of its own; once both
     # end, the next call takes the ones left behind
     expected = mobius_up_to(5000).tolist()
-    outer = arith.mobius_blocks(5000, 1000)
+    monkeypatch.setattr(arith, "MOBIUS_BLOCK", 1000)
+    outer = arith.mobius_blocks(5000)
     lo, first = next(outer)
     kept = first.copy()
-    assert [v for _, values in arith.mobius_blocks(5000, 1000)
+    assert [v for _, values in arith.mobius_blocks(5000)
             for v in values.tolist()] == expected[1:]
     assert first.tolist() == kept.tolist() == expected[1:1001]
     assert [v for _, values in outer for v in values.tolist()] == expected[1001:]
     left = arith._spare_buffers.buffers
-    lo, again = next(arith.mobius_blocks(5000, 1000))
+    lo, again = next(arith.mobius_blocks(5000))
     assert np.shares_memory(again, left[1])
 
 

@@ -19,7 +19,7 @@ from sqfree.buchstab import (
     count_square_multiples,
 )
 from sqfree import buchstab, sieve
-from sqfree.arith import _icbrt, primes_up_to
+from sqfree.arith import _icbrt, primes_up_to, residue_class_count
 from sqfree.sieve import count_tuples
 
 from conftest import naive_is_squarefree, naive_primes
@@ -300,6 +300,32 @@ def test_divisor_cap_is_the_product_over_every_prime_below_the_cutoff():
 def test_base_main_term_degenerate_reports_zero():
     est = base_main_term([0, 1, 2, 3], 3.0)
     assert est.density_product == 0.0
+
+
+def _per_prime_main_term(offsets, cutoff):
+    """base_main_term's product and cap, one prime at a time, ascending, with
+    u(p) counted per prime."""
+    product, cap = 1.0, 1
+    for p in primes_up_to(math.ceil(cutoff) - 1).tolist():
+        u = residue_class_count(p, offsets)
+        product *= 1.0 - u / (p * p)
+        cap *= 1 + u
+    return product, cap
+
+
+@pytest.mark.parametrize("offs", [
+    [0], [0, 2], [0, 2, 6, 8],                # compact
+    [0, 10**12], [0, 6, 49 * 121 * 10**9],    # wide spans: exceptions up to 1e6
+    [0, 1, 2, 5], [0, 1, 2, 4, 5],            # u(2) < r with 4 <= r
+    [0, 1, 2, 3], list(range(9)),             # degenerate at 2 (and 3)
+])
+@pytest.mark.parametrize("cutoff", [2, 3, 10, 10**4, 10**5])
+def test_base_main_term_matches_a_per_prime_loop(offs, cutoff):
+    est = base_main_term(offs, cutoff)
+    product, cap = _per_prime_main_term(offs, cutoff)
+    assert type(est.density_product) is float
+    assert est.density_product.hex() == product.hex()
+    assert est.divisor_cap == cap
 
 
 def test_base_error_within_divisor_cap():

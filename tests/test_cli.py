@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import json
 import math
@@ -170,6 +171,15 @@ def test_buchstab_output_is_byte_identical_to_the_record(capsys, argv, csv_row, 
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == json_digest
 
 
+def test_buchstab_json_writes_base_main_as_a_float_below_the_first_prime(capsys):
+    # at --lambda0 2 no prime lies below the cutoff: the product is 1.0
+    code, out, _ = run_cli(capsys, "buchstab", "--x", "10000", "--h", "1000", "--offsets", "0",
+                           "--lambda0", "2", "--format", "json")
+    assert code == 0
+    assert '"base_main": 1000.0' in out
+    assert type(json.loads(out)[0]["base_main"]) is float
+
+
 def test_buchstab_past_the_supported_range_exits_2_with_the_range_message(capsys):
     # x + h is inside 2^62, the largest offset takes it past
     code, out, err = run_cli(capsys, "buchstab", "--x", "4611686018427387800", "--h", "100",
@@ -263,16 +273,16 @@ def test_buchstab_renders_a_divisor_cap_past_the_int_digit_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_selberg_output_is_byte_identical_to_the_benchmark_record(capsys):
-    # Every selberg entry of the benchmark's recorded pool, read only: argv
+def test_certify_output_is_byte_identical_to_the_benchmark_record(capsys):
+    # Every entry of the benchmark's recorded certify pool, read only: argv
     # and the stdout recorded for it.
     path = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
     with open(path) as fh:
         certify = json.load(fh)["certify"]
-    entries = [entry for name, pool in certify.items() if name.startswith("selberg")
-               for entry in pool]
-    assert len(entries) == 36
-    for entry in entries:
+    commands = collections.Counter(name.split("_")[0] for name, pool in certify.items()
+                                   for _ in pool)
+    assert commands == {"selberg": 36, "density": 16, "buchstab": 18, "squaremul": 12}
+    for entry in (entry for pool in certify.values() for entry in pool):
         code, out, _ = run_cli(capsys, *entry["argv"])
         assert code == 0, entry["argv"]
         assert out == entry["stdout"], entry["argv"]

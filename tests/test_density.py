@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqfree.arith import PRIME_SIEVE_CAP, as_offsets, is_prime, primes_up_to, residue_class_count
+from sqfree.arith import (PRIME_SIEVE_CAP, as_offsets, is_prime, primes_up_to, residue_class_count,
+                          residue_class_counts)
 from sqfree.density import (
     _CHUNK,
     FLOAT_SLOP_PER_FACTOR,
@@ -17,7 +18,7 @@ from sqfree.density import (
     density_constant,
     inverse_density_cap,
 )
-from sqfree.errors import ContractViolation, DegenerateTupleError
+from sqfree.errors import ContractViolation, DegenerateTupleError, MemoryBudgetError
 from sqfree.sieve import count_tuples
 
 # Independently derived reference values.  The single-offset density is
@@ -166,15 +167,19 @@ def test_split_product_and_tail_caps():
 
 def _fsum_bracket(offsets, cutoff):
     """density_constant's bracket with its logs summed by math.fsum: the
-    reference for the limb sum."""
+    reference for the limb sum.  u(p) is counted prime by prime while
+    p^2 <= max(span, r); past that the offsets are distinct modulo p^2, and
+    u(p) = r."""
     l = as_offsets(offsets)
     ps = primes_up_to(cutoff)
-    split = int(np.searchsorted(ps, math.isqrt(max(l.span, l.r)), side="right"))
-    logs = [math.log1p(-residue_class_count(p, l) / (p * p)) for p in ps[:split].tolist()]
-    bulk = ps[split:].astype(np.float64)
-    logs.extend(np.log1p(-l.r / (bulk * bulk)).tolist())
-    total = math.fsum(logs)
-    slop = FLOAT_SLOP_PER_FACTOR * len(logs)
+    us = np.full(ps.size, l.r, dtype=np.float64)
+    for i, p in enumerate(ps.tolist()):
+        if p * p > max(l.span, l.r):
+            break
+        us[i] = residue_class_count(p, l)
+    squares = ps.astype(np.float64) ** 2
+    total = math.fsum(np.log1p(-us / squares).tolist())
+    slop = FLOAT_SLOP_PER_FACTOR * ps.size
     tail = 2.0 * l.r / (cutoff - 1.0)
     return (math.exp(total - tail - 2.0 * slop), min(1.0, math.exp(total + slop)),
             tail + 3.0 * slop)
@@ -196,8 +201,8 @@ def test_limb_sum_gives_the_fsum_bracket_on_bench_patterns():
 
 @pytest.mark.parametrize("offs", [[0, 10**12], [0, 10**14, 2 * 10**14], [0, 6, 10**13]])
 def test_wide_spans_give_the_per_prime_bracket(offs):
-    # Every prime to the cutoff is explicit here; the reference counts each
-    # u(p) on its own with residue_class_count.
+    # The reference counts u(p) at every prime to the cutoff on its own with
+    # residue_class_count.
     cutoff = 200_000
     est = density_constant(offs, cutoff)
     assert (est.lower, est.upper, est.tail_log_bound) == _fsum_bracket(offs, cutoff)
@@ -240,47 +245,64 @@ def test_limb_sum_matches_fsum_random(values):
 # ------------------------------------------------- the chunked pass
 
 _COMPACT = {1: [0], 2: [0, 2], 3: [0, 2, 6], 4: [0, 2, 6, 8]}
-_WIDE = {2: [0, 10**12], 3: [0, 6, 10**13], 4: [0, 2, 10**14, 2 * 10**14]}
-
-
-def _split(offsets, cutoff):
-    l = as_offsets(offsets)
-    return int(np.searchsorted(primes_up_to(cutoff), math.isqrt(max(l.span, l.r)), side="right"))
 
 
 def _chunk_edge_cases():
-    """(offsets, cutoff) per r: the bulk empty (every prime explicit, more
-    than a chunk of them), shorter than one chunk, one chunk exactly and one
-    chunk +- 1 prime, and two chunks and more, where the 2^-34 first-limb
-    threshold falls inside the first."""
+    """(offsets, cutoff): tables of k*_CHUNK - 1, k*_CHUNK and k*_CHUNK + 1
+    primes for k = 1, 2 and every compact r; a table of two chunks and
+    more, where the 2^-34 first-limb threshold falls inside the first; the
+    last prime of the first chunk and the first of the second made special
+    by offsets 0, q^2, one at a time and together; and p = 2 special with
+    p^2 <= r."""
     table = primes_up_to(2 * 10**6)
+    last, first = int(table[_CHUNK - 1]), int(table[_CHUNK])
     cases = []
-    for r, offs in _COMPACT.items():
-        if r in _WIDE:
-            cases.append((_WIDE[r], 500_000))
-        edge = int(table[_split(offs, 10**6) + _CHUNK - 1])  # the last prime of the first chunk
-        cases += [(offs, 10**5), (offs, edge), (offs, int(table[_split(offs, 10**6) + _CHUNK - 2])),
-                  (offs, int(table[_split(offs, 10**6) + _CHUNK])), (offs, 2 * 10**6)]
+    for offs in _COMPACT.values():
+        cases += [(offs, int(table[k * _CHUNK + d - 1])) for k in (1, 2) for d in (-1, 0, 1)]
+        cases.append((offs, 2 * 10**6))
+    cases += [([0, last**2], first), ([0, first**2], first),
+              ([0, last**2, first**2], 2 * 10**6)]
+    cases += [([0, 1, 2, 5], 10**5), ([0, 1, 2, 4, 5], 10**5)]
     return cases
 
 
 def test_chunk_edge_cases_cover_what_they_name():
     cases = _chunk_edge_cases()
-    bulk_sizes = {len(primes_up_to(c)) - _split(o, c) for o, c in cases}
-    assert {0, _CHUNK - 1, _CHUNK, _CHUNK + 1} <= bulk_sizes
-    assert any(0 < size < _CHUNK - 1 for size in bulk_sizes)
-    assert any(_split(o, c) > _CHUNK for o, c in cases)
-    # At the largest cutoff the bulk logs cross 2^-34 inside the first chunk.
-    for r, offs in _COMPACT.items():
-        ps = primes_up_to(2 * 10**6)[_split(offs, 2 * 10**6):].astype(np.float64)
+    sizes = {len(primes_up_to(c)) for _, c in cases}
+    assert {k * _CHUNK + d for k in (1, 2) for d in (-1, 0, 1)} <= sizes
+    # the specials sit in the last slot of the first chunk and the first of the next
+    table = primes_up_to(2 * 10**6)
+    for offs, cutoff in cases[-5:-2]:
+        slots = np.searchsorted(table, [p for p in residue_class_counts(offs) if p <= cutoff])
+        assert set(slots.tolist()) & {_CHUNK - 1, _CHUNK}
+    # p = 2 has u(2) < r and 4 <= r: -r/4 <= -1 has no log
+    for offs, _ in cases[-2:]:
+        assert residue_class_counts(offs)[2] < len(offs) and 4 <= len(offs)
+    # At the largest cutoff the logs cross 2^-34 inside the first chunk
+    # (slot i + 1 holds ps[i]: p = 2 is left out, as -4/4 has no log).
+    for r in _COMPACT:
+        ps = table[1:].astype(np.float64)
         small = np.abs(np.log1p(-r / (ps * ps))) < 2.0**-34
-        assert 0 < np.flatnonzero(small)[0] < _CHUNK < small.size and small[_CHUNK:].all()
+        assert 0 < np.flatnonzero(small)[0] < _CHUNK - 1 < small.size and small[_CHUNK - 1:].all()
 
 
 @pytest.mark.parametrize("offs, cutoff", _chunk_edge_cases())
 def test_chunked_pass_gives_the_fsum_bracket(offs, cutoff):
     est = density_constant(offs, cutoff)
+    assert not est.degenerate_zero
     assert (est.lower, est.upper, est.tail_log_bound) == _fsum_bracket(offs, cutoff)
+
+
+def test_degenerate_with_no_difference_divisible_by_four():
+    # 0, 1, 2, 3 take every class modulo 4 with u(2) = r: no exception names 2
+    assert 2 not in residue_class_counts([0, 1, 2, 3])
+    est = density_constant([0, 1, 2, 3], 10**5)
+    assert est.degenerate_zero and (est.lower, est.upper) == (0.0, 0.0)
+
+
+def test_degenerate_pattern_past_the_prime_cap_is_refused():
+    with pytest.raises(MemoryBudgetError):
+        density_constant([0, 1, 2, 3], PRIME_SIEVE_CAP + 1)
 
 
 @given(st.lists(st.one_of(

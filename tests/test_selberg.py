@@ -660,6 +660,20 @@ def test_squarefree_moment_values():
             assert squarefree_moment(r, level) == expected, (r, level)
 
 
+@pytest.mark.parametrize("r, level, message", [
+    (0, 10, "r must be at least 1"),
+    (2.5, 10, r"r must be an integer at least 1, not 2\.5"),
+    (1, math.nan, "level must be finite, not nan"),
+    (1, math.inf, "level must be finite, not inf"),
+    (1, 0.5, "level must be at least 1"),
+])
+def test_moment_cap_takes_the_moment_sum_checks(r, level, message):
+    with pytest.raises(ValueError, match=message):
+        squarefree_moment(r, level)
+    with pytest.raises(ValueError, match=message):
+        moment_cap(r, level)
+
+
 def test_moment_cap_example():
     assert moment_cap(1, 2.5) == pytest.approx(12.453682230194776, rel=1e-12)
     assert squarefree_moment(1, 2.5) <= moment_cap(1, 2.5)
