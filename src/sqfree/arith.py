@@ -344,21 +344,21 @@ def mobius_blocks(stop: int):
     is below 2^31, so it fits int32.  The buffers are those the last
     finished call in this thread left, or new ones, and are left for the
     next call."""
-    stop, block = int(stop), MOBIUS_BLOCK
+    stop = int(stop)
     if not 1 <= stop <= 1 << 31:
         raise ValueError("stop must lie in [1, 2^31]")
     primes = primes_up_to(max(1, math.isqrt(stop)))
     squares = primes * primes
     plist = primes.tolist()
-    size = min(block, stop)
+    size = min(MOBIUS_BLOCK, stop)
     buffers, _spare_buffers.buffers = getattr(_spare_buffers, "buffers", None), None
     if buffers is None or buffers[0].size < size:
         buffers = (np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int8),
                    np.empty(size, dtype=bool))
     product, mu, same = buffers
     try:
-        for lo in range(1, stop + 1, block):
-            n = min(block, stop + 1 - lo)
+        for lo in range(1, stop + 1, MOBIUS_BLOCK):
+            n = min(MOBIUS_BLOCK, stop + 1 - lo)
             live = int(np.searchsorted(primes, math.isqrt(lo + n - 1), side="right"))
             # p^2 below the block length strikes it strided, the rest at most once
             strided = int(np.searchsorted(squares, n))

@@ -256,7 +256,7 @@ def count_square_multiples(query: SquareMultipleQuery) -> int:
     d2 = np.arange(max(lo, short + 1), min(hi + 1, d1), dtype=np.int64) ** 2
     total += int(np.count_nonzero(top // d2 > x // d2))
     if d1 <= hi:
-        total += square_multiples(x, top, d1 - 1, hi).size
+        total += square_multiples(x, top, d1 - 1, hi)[0].size
     return total
 
 

@@ -84,17 +84,18 @@ def density_constant(offsets, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Euler
     listed = [p for p in special if p <= cutoff]
     slots = np.searchsorted(ps, listed)
     args = [-special[p] / (p * p) for p in listed]
+    # chunk i's special primes are slots[cuts[i]:cuts[i + 1]]
+    cuts = np.searchsorted(slots, range(0, ps.size + _CHUNK, _CHUNK)).tolist()
 
     limbs = [0, 0, 0]
     chunk = np.empty(min(_CHUNK, ps.size), dtype=np.float64)
     scratch = np.empty_like(chunk)
-    for lo in range(0, ps.size, _CHUNK):
+    for lo, a, b in zip(range(0, ps.size, _CHUNK), cuts, cuts[1:]):
         logs = chunk[:min(_CHUNK, ps.size - lo)]
         # -r/p^2 made in place, the special primes' -u(p)/p^2 written over
         # theirs before any log: a p^2 <= r would give log1p(-1) or a NaN
         np.square(ps[lo:lo + logs.size], out=logs, dtype=np.float64)
         np.divide(-r, logs, out=logs)
-        a, b = np.searchsorted(slots, (lo, lo + logs.size))
         logs[slots[a:b] - lo] = args[a:b]
         np.log1p(logs, out=logs)
         _add_limbs(limbs, logs, scratch)

@@ -113,7 +113,7 @@ class SelbergSystem:
         return self.offsets.r
 
 
-def optimal_weights(level: float, offsets, *, exact: Optional[bool] = None,
+def optimal_weights(level: float, offsets, *,
                     prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> SelbergSystem:
     """Construct the variance-minimizing weight system at the given level."""
     l = as_offsets(offsets)
@@ -122,8 +122,7 @@ def optimal_weights(level: float, offsets, *, exact: Optional[bool] = None,
         raise ValueError("sieve level must exceed 2")
     if level > LEVEL_CAP:
         raise ValueError(f"sieve level above the weight-table cap {LEVEL_CAP:g}")
-    if exact is None:
-        exact = level <= EXACT_LEVEL_CAP
+    exact = level <= EXACT_LEVEL_CAP
     est = density_constant(l, prime_cutoff)
     if est.degenerate_zero:
         raise DegenerateTupleError(

@@ -123,27 +123,20 @@ def _mobius_block_sum(mu: np.ndarray, start: int, lo: int, hi: int) -> int:
     start, mu[i] = mu(start + i).
 
     The sum counts the pairs (k, d) with lo < k*d^2 <= hi, weighted by
-    mu(d).  When the block's k are under a 64th of its d and its pairs
-    under a 16th, mu is gathered at the pairs: for each k, the d in
-    (isqrt(lo // k), isqrt(hi // k)].  A block from d = s holds about
-    h*n/s^2 pairs, so every block past 4*sqrt(h), and all but the first
-    block or two of a short window, gathers.  Any other block takes two
-    divisions per d, in pieces of 2^13 d.  The temporaries of the gather
-    stay below those of one piece, so the peak does not grow with hi.  The
+    mu(d).  A block with at most a 64th as many cofactors k as d, from d
+    past 4*isqrt(hi - lo), gathers mu at its pairs (``square_multiples``).
+    A d past sqrt(hi - lo) has at most one multiple of d^2 in the window,
+    so such a block holds at most one pair per d: its temporaries are
+    bounded by the block, never by hi.  For a short window all but the
+    first block or two gather; ``count_squarefree`` (lo = 0) never does.
+    Any other block takes two divisions per d, in pieces of 2^13 d.  The
     int64 sums are exact: the terms' magnitudes add up to less than
     2*hi <= 2^63."""
     n = mu.size
     last = start + n - 1
-    k_lo, k_hi = lo // (last * last) + 1, hi // (start * start)
-    if k_hi - k_lo < n // 64:
-        k = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-        first = np.clip(_isqrt(lo // k) + 1 - start, 0, n)
-        counts = np.clip(_isqrt(hi // k) + 1 - start, first, n) - first
-        pairs = int(counts.sum())
-        if pairs < n // 16:
-            # run j of each k's block takes index first + j
-            skip = np.cumsum(counts) - counts
-            return int(mu[np.repeat(first - skip, counts) + np.arange(pairs)].sum(dtype=np.int64))
+    if hi // (start * start) - lo // (last * last) <= n // 64 and start > 4 * math.isqrt(hi - lo):
+        _, m = square_multiples(lo, hi, start - 1, last)
+        return int(mu[m - start].sum(dtype=np.int64))
     total = 0
     # int64 temporaries of 64 KiB, reused from the heap rather than mapped
     # and faulted in anew
@@ -207,20 +200,21 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return s
 
 
-def square_multiples(lo: int, hi: int, m_lo: int, m_hi: int) -> np.ndarray:
-    """Every k*m^2 in (lo, hi] with m in (m_lo, m_hi], one int64 entry per
-    pair (k, m), unordered.  For each cofactor k in (lo // m_hi^2,
-    hi // (m_lo+1)^2] the m form one interval, (max(isqrt(lo // k), m_lo),
-    min(isqrt(hi // k), m_hi)], so memory grows as m_lo falls."""
+def square_multiples(lo: int, hi: int, m_lo: int, m_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (k, m) with k*m^2 in (lo, hi] and m in (m_lo, m_hi], as
+    int64 arrays k and m, one entry per pair, in ascending k and then m.
+    For each cofactor k in (lo // m_hi^2, hi // (m_lo+1)^2] the m form one
+    interval, (max(isqrt(lo // k), m_lo), min(isqrt(hi // k), m_hi)], so
+    memory grows as m_lo falls."""
     if m_hi <= m_lo:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     k = np.arange(lo // (m_hi * m_hi) + 1, hi // ((m_lo + 1) ** 2) + 1, dtype=np.int64)
     first = np.maximum(_isqrt(lo // k), m_lo)
     counts = np.maximum(np.minimum(_isqrt(hi // k), m_hi) - first, 0)
     # Run j of each k's block takes m = first + 1 + j.
     starts = np.cumsum(counts) - counts
     m = np.repeat(first + 1 - starts, counts) + np.arange(int(counts.sum()), dtype=np.int64)
-    return np.repeat(k, counts) * m * m
+    return np.repeat(k, counts), m
 
 
 def _cofactor_bound(end: int) -> int:
@@ -338,7 +332,8 @@ def _sparse_strikes(base: int, length: int, plan: _Plan) -> np.ndarray:
         # q < m <= top < z_i and q^2 | m^2, so a composite m only strikes an
         # n that q strikes anyway.
         m1 = base + off + 1
-        strikes.append(square_multiples(m1 - 1, m1 - 1 + length, plan.bound, top) - m1)
+        k, m = square_multiples(m1 - 1, m1 - 1 + length, plan.bound, top)
+        strikes.append(k * m * m - m1)
     # The keys take two strike-sized arrays, the strike list freed first:
     # larger temporaries (about 3 MB a segment at r = 4), freed at the top
     # of the heap, let malloc hand them back to the system and fault them

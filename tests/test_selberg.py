@@ -224,10 +224,14 @@ def test_tail_defect_constant_recorded():
           f"(values {['%.4f' % c for c in measured]})")
 
 
-def test_float_path_matches_exact_path():
+def test_float_path_matches_exact_path(monkeypatch):
+    # the level alone picks the arithmetic: Fractions up to EXACT_LEVEL_CAP
     for level, offs in [(40, [0]), (60, [0, 1])]:
-        exact = optimal_weights(level, offs, exact=True)
-        fast = optimal_weights(level, offs, exact=False)
+        monkeypatch.setattr(selberg, "EXACT_LEVEL_CAP", LEVEL_CAP)
+        exact = optimal_weights(level, offs)
+        monkeypatch.setattr(selberg, "EXACT_LEVEL_CAP", 0)
+        fast = optimal_weights(level, offs)
+        assert (exact.exact, fast.exact) == (True, False)
         for d, w in exact.weights.items():
             assert float(w) == pytest.approx(fast.weights[d], abs=1e-12)
         assert float(exact.normalizer) == pytest.approx(fast.normalizer, rel=1e-14)

@@ -134,6 +134,31 @@ def _squarefree_prefix(n):
     return np.cumsum(free)
 
 
+def _spy_on_gathers(monkeypatch):
+    """The (lo, hi, m_lo, m_hi, k, m) of every square_multiples call from
+    here on, in a list that grows as they are made."""
+    calls, pairs = [], sieve.square_multiples
+
+    def spy(lo, hi, m_lo, m_hi):
+        k, m = pairs(lo, hi, m_lo, m_hi)
+        calls.append((lo, hi, m_lo, m_hi, k, m))
+        return k, m
+
+    monkeypatch.setattr(sieve, "square_multiples", spy)
+    return calls
+
+
+def _assert_gathers_keep_the_rule(calls):
+    """Each gathered block of d from start = m_lo + 1 starts past
+    4*isqrt(h) and holds at most a 64th as many cofactors as d and at most
+    one pair per d."""
+    for lo, hi, m_lo, m_hi, k, m in calls:
+        n = m_hi - m_lo
+        assert m_lo + 1 > 4 * math.isqrt(hi - lo)
+        assert np.unique(k).size <= n // 64
+        assert m.size <= n
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, 1000, 1 << 16])
 def test_mobius_sum_matches_a_square_sieve_in_any_block(monkeypatch, block):
     # Small blocks put most d of the short windows in blocks gathered per
@@ -144,8 +169,36 @@ def test_mobius_sum_matches_a_square_sieve_in_any_block(monkeypatch, block):
     windows = [(0, 300_000), (0, 1), (299_999, 1), (1, 299_999)]
     windows += [(lo, rng.randrange(1, 300_001 - lo))
                 for lo in (rng.randrange(300_000) for _ in range(60))]
+    calls = _spy_on_gathers(monkeypatch)
     for lo, h in windows:
         assert sieve._squarefree_between(lo, lo + h) == prefix[lo + h] - prefix[lo]
+    # a block of 1000 or more d holds d = 1 .. isqrt(300_000), so it divides
+    assert bool(calls) == (block < 1000)
+    _assert_gathers_keep_the_rule(calls)
+
+
+@pytest.mark.parametrize("x,h", [(10**12, 10**8), (10**14, 10**10)])
+def test_mobius_sum_gathers_by_the_closed_form_rule(monkeypatch, x, h):
+    # the reference sums every block by divisions: count_squarefree never
+    # gathers, since its blocks start at or below sqrt(h)
+    expected = count_squarefree(x + h) - count_squarefree(x)
+    calls = _spy_on_gathers(monkeypatch)
+    assert sieve._squarefree_between(x, x + h) == expected
+    assert calls
+    _assert_gathers_keep_the_rule(calls)
+
+
+def test_mobius_sum_gathers_a_block_of_many_pairs(monkeypatch):
+    # d = 4033..4096 lies past 4*isqrt(1e6) = 4000 with one cofactor, k = 1,
+    # and 64 pairs: a gather of more than a 16th of the block's d in pairs
+    x, h = 16_000_000, 1_000_000
+    expected = _kernel(x, h)
+    assert expected == 607_943
+    monkeypatch.setattr(arith, "MOBIUS_BLOCK", 64)
+    calls = _spy_on_gathers(monkeypatch)
+    assert sieve._squarefree_between(x, x + h) == expected
+    _assert_gathers_keep_the_rule(calls)
+    assert any(m.size > 64 // 16 for *_, m in calls)
 
 
 # ------------------------------------------------------------- windows
@@ -1031,8 +1084,27 @@ def test_cofactor_pass_with_a_low_bound_matches_trial_division(monkeypatch, forc
 
 
 def _square_multiples_by_m(lo, hi, m_lo, m_hi):
-    return sorted(k * m * m for m in range(m_lo + 1, m_hi + 1)
+    return sorted((k, m) for m in range(m_lo + 1, m_hi + 1)
                   for k in range(lo // (m * m) + 1, hi // (m * m) + 1))
+
+
+def _square_multiples(lo, hi, m_lo, m_hi):
+    """The pairs of ``square_multiples``, checked for their order, their
+    window and their m range, with their int64 values k*m^2."""
+    k, m = square_multiples(lo, hi, m_lo, m_hi)
+    assert k.dtype == m.dtype == np.int64 and k.shape == m.shape
+    pairs = list(zip(k.tolist(), m.tolist()))
+    assert pairs == sorted(pairs)  # ascending k, then m
+    values = k * m * m
+    assert ((lo < values) & (values <= hi) & (m_lo < m) & (m <= m_hi)).all()
+    assert values.tolist() == [a * b * b for a, b in pairs]
+    return pairs
+
+
+@pytest.mark.parametrize("m_lo,m_hi", [(5, 5), (7, 3), (0, 0)])
+def test_square_multiples_of_an_empty_m_range_are_two_empty_arrays(m_lo, m_hi):
+    k, m = square_multiples(0, 1000, m_lo, m_hi)
+    assert (k.size, m.size, k.dtype, m.dtype) == (0, 0, np.int64, np.int64)
 
 
 @given(
@@ -1043,8 +1115,8 @@ def _square_multiples_by_m(lo, hi, m_lo, m_hi):
 )
 @settings(max_examples=80, deadline=None)
 def test_square_multiples_match_enumeration_by_m(lo, width, m_lo, m_hi):
-    got = sorted(square_multiples(lo, lo + width, m_lo, m_hi).tolist())
-    assert got == _square_multiples_by_m(lo, lo + width, m_lo, m_hi)
+    assert _square_multiples(lo, lo + width, m_lo, m_hi) == _square_multiples_by_m(
+        lo, lo + width, m_lo, m_hi)
 
 
 @given(
@@ -1065,9 +1137,9 @@ def test_square_multiples_exact_at_the_window_edges_near_2_62(k, m, edge, width,
               "hi": (v - 1 - width, v)}[edge]
     hi = min(hi, 2**62)
     m_lo, m_hi = m - below, min(m + above, 2**31)
-    got = sorted(square_multiples(lo, hi, m_lo, m_hi).tolist())
+    got = _square_multiples(lo, hi, m_lo, m_hi)
     assert got == _square_multiples_by_m(lo, hi, m_lo, m_hi)
-    assert (v in got) == (edge != "lo")
+    assert ((k, m) in got) == (edge != "lo")
 
 
 # ------------------------------------------------------ count_congruent
